@@ -15,7 +15,8 @@ midpoint-radius form (``member_absform``)
     exists side,   | sum_s (mid A'_s + mid A''_s) x - sum_s (mid b'_s +
     mid b''_s) | + sum_s Dl_s <= sum_s Dr_s,   plus the same prefix-sum
     ordering Dl <= Dr over inner blocks.  Cost is O(kappa * m * n)
-    rational operations per point.
+    integer operations per point after a one-time compile of the
+    system (``GeneralizedIQSystem.compiled``).
 
 For one-block (kappa = 1) systems these reduce to the classical Shary
 inclusion and Rohn midpoint-radius characterizations of AE-solution
@@ -39,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
+from operator import add, gt, mul, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -110,103 +113,82 @@ def _point(x: PointLike, n: int) -> PointVector:
     return pv
 
 
-def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
-    """Membership via interval inclusion plus width prefix ordering."""
-    m, n = gen.shape
+def _cleared(x: PointLike, n: int) -> Tuple[list, int]:
+    """The point as integers (x_j * lx, ...) and lx, the lcm of its denominators."""
     pv = _point(x, n)
-    kappa = gen.kappa
-    left = [gen.a_forall[s] @ pv - gen.b_forall[s] for s in range(kappa)]
-    right = [gen.b_exists[s] - gen.a_exists[s] @ pv for s in range(kappa)]
-    # Width prefix sums over inner blocks, levels 1..kappa-1.
-    lw = [_ZERO] * m
-    rw = [_ZERO] * m
-    for level in range(1, kappa):
-        lw = [acc + ivl.wid() for acc, ivl in zip(lw, left[level - 1])]
-        rw = [acc + ivl.wid() for acc, ivl in zip(rw, right[level - 1])]
-        if any(a > b for a, b in zip(lw, rw)):
-            return MembershipVerdict(False, Violation(ConditionKind.WIDTH_ORDER, level))
-    lsum = left[0]
-    for vec in left[1:]:
-        lsum = lsum + vec
-    rsum = right[0]
-    for vec in right[1:]:
-        rsum = rsum + vec
+    lx = math.lcm(*(v.denominator for v in pv))
+    return [v.numerator * (lx // v.denominator) for v in pv], lx
+
+
+def _row_dots(flat: tuple, vec: tuple) -> list:
+    """Dot product of vec with each consecutive len(vec)-long row of flat."""
+    width = len(vec)
+    ends = list(accumulate(map(mul, flat, vec * (len(flat) // width))))[width - 1::width]
+    return list(map(sub, ends, [0, *ends]))
+
+
+def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
+    """Membership via interval inclusion plus width prefix ordering.
+
+    Reads the compiled integer endpoints: the lower endpoint of a row
+    times x takes each entry's lower endpoint where x_j >= 0 and its
+    upper endpoint where x_j < 0, the upper endpoint the reverse.  No
+    midpoint or radius is formed, so this form cross-checks
+    ``member_absform`` with independent arithmetic.
+    """
+    comp = gen.compiled
+    m = comp.m
+    xs, lx = _cleared(x, comp.n)
+    rows = 2 * comp.kappa * m
+    lo = hi = [0] * rows
+    for k, xj in zip(range(0, len(comp.endpoints), 2 * rows), (*xs, lx)):
+        if xj:
+            lo_col, hi_col = comp.endpoints[k:k + rows], comp.endpoints[k + rows:k + 2 * rows]
+            if xj < 0:
+                lo_col, hi_col = hi_col, lo_col
+            lo = [acc + v * xj for acc, v in zip(lo, lo_col)]
+            hi = [acc + v * xj for acc, v in zip(hi, hi_col)]
+    # Rows 0..half-1 hold A'_s x - b'_s and the rest A''_s x - b''_s, which is
+    # -(b''_s - A''_s x); both halves run block by block, m rows per block.
+    half = rows // 2
+    wid = list(map(sub, hi, lo))
+    lw = rw = [0] * m
+    for k in range(0, half - m, m):
+        lw = list(map(add, lw, wid[k:k + m]))
+        rw = list(map(add, rw, wid[half + k:half + k + m]))
+        if any(map(gt, lw, rw)):
+            return MembershipVerdict(False, Violation(ConditionKind.WIDTH_ORDER, k // m + 1))
     for i in range(m):
-        if not lsum[i].subset_of(rsum[i]):
+        # sum_s (A'_s x - b'_s) inside sum_s (b''_s - A''_s x).
+        if sum(lo[i:half:m]) + sum(hi[half + i::m]) < 0 or sum(hi[i:half:m]) + sum(lo[half + i::m]) > 0:
             return MembershipVerdict(False, Violation(ConditionKind.INCLUSION, i + 1))
     return _MEMBER
 
 
-def _block_spreads(gen: GeneralizedIQSystem, absx: Sequence[Rational]) -> Tuple[list, list]:
-    """Per block s and row i: rad A'_s |x| + rad b'_s and its exists-side twin."""
-    m, n = gen.shape
-    left = []
-    right = []
-    for s in range(gen.kappa):
-        af, ae, bf, be = gen.a_forall[s], gen.a_exists[s], gen.b_forall[s], gen.b_exists[s]
-        lrow = []
-        rrow = []
-        for i in range(m):
-            accl = bf[i].rad()
-            accr = be[i].rad()
-            fa_row = af.rows[i]
-            ex_row = ae.rows[i]
-            for j in range(n):
-                aj = absx[j]
-                if aj:
-                    accl += fa_row[j].rad() * aj
-                    accr += ex_row[j].rad() * aj
-            lrow.append(accl)
-            rrow.append(accr)
-        left.append(lrow)
-        right.append(rrow)
-    return left, right
+def _midrad_rows(gen: GeneralizedIQSystem, x: PointLike) -> Tuple[Optional[Violation], Iterable]:
+    """The first radius-order violation at x, else its (center, slack) row pairs.
 
-
-def _center_residual(gen: GeneralizedIQSystem, pv: PointVector) -> list:
-    """Row vector  sum_s (mid A'_s + mid A''_s) x - sum_s (mid b'_s + mid b''_s)."""
-    m, n = gen.shape
-    out = []
-    for i in range(m):
-        acc = _ZERO
-        for s in range(gen.kappa):
-            fa_row = gen.a_forall[s].rows[i]
-            ex_row = gen.a_exists[s].rows[i]
-            for j in range(n):
-                xj = pv[j]
-                if xj:
-                    acc += (fa_row[j].mid() + ex_row[j].mid()) * xj
-            acc -= gen.b_forall[s][i].mid() + gen.b_exists[s][i].mid()
-        out.append(acc)
-    return out
-
-
-def _radius_order_violation(left: list, right: list, m: int, kappa: int) -> Optional[Violation]:
-    lacc = [_ZERO] * m
-    racc = [_ZERO] * m
-    for level in range(1, kappa):
-        lacc = [a + b for a, b in zip(lacc, left[level - 1])]
-        racc = [a + b for a, b in zip(racc, right[level - 1])]
-        if any(a > b for a, b in zip(lacc, racc)):
-            return Violation(ConditionKind.RADIUS_ORDER, level)
-    return None
+    Values are in units of 2 * denom * lx: center is the summed midpoint
+    row times x minus the summed rhs midpoints, slack the exists radius
+    sum minus the forall radius sum at |x|.
+    """
+    comp = gen.compiled
+    xs, lx = _cleared(x, comp.n)
+    absx = (*map(abs, xs), lx)
+    for k, (lsum, rsum) in enumerate(zip(_row_dots(comp.left, absx), _row_dots(comp.right, absx))):
+        if lsum > rsum:
+            return Violation(ConditionKind.RADIUS_ORDER, k // comp.m + 1), ()
+    return None, zip(_row_dots(comp.center, (*xs, lx)), _row_dots(comp.slack, absx))
 
 
 def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
     """Membership via the midpoint-radius inequalities (absolute-value form)."""
-    m, n = gen.shape
-    pv = _point(x, n)
-    absx = [abs(v) for v in pv]
-    left, right = _block_spreads(gen, absx)
-    bad = _radius_order_violation(left, right, m, gen.kappa)
+    bad, rows = _midrad_rows(gen, x)
     if bad is not None:
         return MembershipVerdict(False, bad)
-    center = _center_residual(gen, pv)
-    ltot = [sum(col, _ZERO) for col in zip(*left)]
-    rtot = [sum(col, _ZERO) for col in zip(*right)]
-    for i in range(m):
-        if abs(center[i]) + ltot[i] > rtot[i]:
-            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i + 1))
+    for i, (center, slack) in enumerate(rows, start=1):
+        if abs(center) > slack:
+            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i))
     return _MEMBER
 
 
@@ -214,22 +196,14 @@ def member_absform_twosided(gen: GeneralizedIQSystem, x: PointLike) -> Membershi
     """Sandwich variant of the center bound: -(R-L) <= center <= R-L.
 
     Rowwise equivalent to ``member_absform``; both are kept and tested
-    against each other because they exercise different arithmetic.
+    against each other because they exercise different comparisons.
     """
-    m, n = gen.shape
-    pv = _point(x, n)
-    absx = [abs(v) for v in pv]
-    left, right = _block_spreads(gen, absx)
-    bad = _radius_order_violation(left, right, m, gen.kappa)
+    bad, rows = _midrad_rows(gen, x)
     if bad is not None:
         return MembershipVerdict(False, bad)
-    center = _center_residual(gen, pv)
-    ltot = [sum(col, _ZERO) for col in zip(*left)]
-    rtot = [sum(col, _ZERO) for col in zip(*right)]
-    for i in range(m):
-        slack = rtot[i] - ltot[i]
-        if not (-slack <= center[i] <= slack):
-            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i + 1))
+    for i, (center, slack) in enumerate(rows, start=1):
+        if not -slack <= center <= slack:
+            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i))
     return _MEMBER
 
 
@@ -491,42 +465,23 @@ def prop2_flatten(gen: GeneralizedIQSystem) -> AESystem:
     inequalities (zero centers), the last group the full center bound;
     ``prop1_construct`` then turns the stacked |Cx - c| <= D|x| + d
     into quantified interval data.  Membership in the result matches
-    ``member_absform`` on the input for every point.
+    ``member_absform`` on the input for every point.  The rows are the
+    compiled doubled rows divided by 2 * denom.
     """
-    m, n = gen.shape
-    kappa = gen.kappa
-    C: List[list] = []
-    D: List[list] = []
-    c: List[Rational] = []
-    d: List[Rational] = []
-    # Prefix sums of rad A'' - rad A' and rad b'' - rad b' over inner blocks.
-    dmat = [[_ZERO] * n for _ in range(m)]
-    dvec = [_ZERO] * m
-    for level in range(1, kappa + 1):
-        af, ae, bf, be = gen.block(level)
-        for i in range(m):
-            for j in range(n):
-                dmat[i][j] += ae.entry(i, j).rad() - af.entry(i, j).rad()
-            dvec[i] += be[i].rad() - bf[i].rad()
-        if level < kappa:
-            for i in range(m):
-                C.append([_ZERO] * n)
-                D.append(list(dmat[i]))
-                c.append(_ZERO)
-                d.append(dvec[i])
-    for i in range(m):
-        crow = [_ZERO] * n
-        ci = _ZERO
-        for s in range(kappa):
-            af, ae, bf, be = gen.block(s + 1)
-            for j in range(n):
-                crow[j] += af.entry(i, j).mid() + ae.entry(i, j).mid()
-            ci += bf[i].mid() + be[i].mid()
-        C.append(crow)
-        D.append(list(dmat[i]))
-        c.append(ci)
-        d.append(dvec[i])
-    return prop1_construct(AbsIneqSystem(C, D, c, d))
+    comp = gen.compiled
+    n, width = comp.n, comp.n + 1
+    inner = (comp.kappa - 1) * comp.m
+    scale = 2 * comp.denom
+
+    def rows(flat) -> list:
+        return [[Rational(v, scale) for v in flat[k:k + width]] for k in range(0, len(flat), width)]
+
+    # Prefix sums of [rad A'' - rad A' | rad b'' - rad b'] over inner blocks, then all blocks.
+    spread = rows([*map(sub, comp.right, comp.left), *comp.slack])
+    center = rows(comp.center)
+    C = [[_ZERO] * n] * inner + [row[:n] for row in center]
+    c = [_ZERO] * inner + [-row[n] for row in center]
+    return prop1_construct(AbsIneqSystem(C, [row[:n] for row in spread], c, [row[n] for row in spread]))
 
 
 # ---------------------------------------------------------------------------
@@ -534,173 +489,35 @@ def prop2_flatten(gen: GeneralizedIQSystem) -> AESystem:
 # ---------------------------------------------------------------------------
 
 
-def _as_int(value: Rational) -> int:
-    if value.denominator != 1:
-        raise ValueError("value is not integral after scaling")
-    return int(value.numerator)
-
-
-_KERNEL = None
-_KERNEL_FAILED = False
-
-
-def _compiled_kernel():
-    """Jit-compile the per-point integer decision loop on first use.
-
-    The loop evaluates every condition unconditionally (no early exit),
-    so its cost per point is the fixed multiply-add count stated in
-    ``member_batch`` regardless of verdict distribution.  Returns None
-    when numba is unavailable; callers then use the numpy fallback.
-    """
-    global _KERNEL, _KERNEL_FAILED
-    if _KERNEL is not None or _KERNEL_FAILED:
-        return _KERNEL
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _KERNEL_FAILED = True
-        return None
-
-    @numba.njit(cache=True)
-    def kernel(aug_t, left, right, slack, center, out):  # pragma: no cover - compiled
-        width, count = aug_t.shape
-        level_rows = left.shape[0]
-        m = slack.shape[0]
-        tile = 8192
-        acc_l = np.empty(tile, np.int64)
-        acc_r = np.empty(tile, np.int64)
-        # Every (row, j) pass reads one input stream and performs two
-        # multiply-adds per point (absolute values are formed in
-        # registers), so the per-pass cost is uniform across row kinds.
-        for start in range(0, count, tile):
-            k = min(tile, count - start)
-            for i in range(k):
-                out[start + i] = True
-            for r in range(level_rows):
-                for j in range(width):
-                    cl = left[r, j]
-                    cr = right[r, j]
-                    row = aug_t[j]
-                    if j == 0:
-                        for i in range(k):
-                            a = row[start + i]
-                            if a < 0:
-                                a = -a
-                            acc_l[i] = cl * a
-                            acc_r[i] = cr * a
-                    else:
-                        for i in range(k):
-                            a = row[start + i]
-                            if a < 0:
-                                a = -a
-                            acc_l[i] += cl * a
-                            acc_r[i] += cr * a
-                for i in range(k):
-                    out[start + i] &= acc_l[i] <= acc_r[i]
-            for r in range(m):
-                for j in range(width):
-                    cs = slack[r, j]
-                    cc = center[r, j]
-                    row = aug_t[j]
-                    if j == 0:
-                        for i in range(k):
-                            a = row[start + i]
-                            aa = a if a >= 0 else -a
-                            acc_l[i] = cs * aa
-                            acc_r[i] = cc * a
-                    else:
-                        for i in range(k):
-                            a = row[start + i]
-                            aa = a if a >= 0 else -a
-                            acc_l[i] += cs * aa
-                            acc_r[i] += cc * a
-                for i in range(k):
-                    c = acc_r[i]
-                    if c < 0:
-                        c = -c
-                    out[start + i] &= c <= acc_l[i]
-        return out
-
-    _KERNEL = kernel
-    return _KERNEL
-
-
 class AbsFormEvaluator:
     """Amortized midpoint-radius membership for many points of one system.
 
-    The evaluator precomputes, for each of the kappa-1 ordering levels,
-    the prefix-summed radius rows of both quantifier sides, plus the
-    full radius-slack row (exists minus forall) and the summed center
-    row; everything is cleared to int64 by one common denominator.  A
-    batch of encoded points is then decided in exact integer
-    arithmetic, 2 * kappa * m * (n+1) multiply-adds per point.  When
-    the conservative overflow bound fails, evaluation falls back to the
-    per-point rational path, so verdicts always equal
-    ``member_absform``.
+    The evaluator copies the system's compiled doubled rows into int64
+    arrays, divided by the gcd of all their entries: for each of the
+    kappa-1 ordering levels the prefix-summed radius rows of both
+    quantifier sides, plus the full radius-slack row (exists minus
+    forall) and the summed center row.  A batch of encoded points is
+    then decided in exact integer arithmetic with numpy,
+    2 * kappa * m * (n+1) multiply-adds per point.  When the
+    conservative overflow bound fails, evaluation falls back to
+    ``member_absform`` point by point, so verdicts always equal it.
     """
+
+    # Tile width of the batch kernel (keeps per-tile products cache resident).
+    _TILE = 2048
 
     def __init__(self, gen: GeneralizedIQSystem) -> None:
         self.gen = gen
-        m, n = gen.shape
-        kappa = gen.kappa
-        self._m, self._n, self._kappa = m, n, kappa
-        # Prefix-summed augmented rows [radius matrix | radius rhs] for the
-        # kappa-1 ordering levels, kept as separate forall/exists sides.
-        left_rows: List[List[Rational]] = []
-        right_rows: List[List[Rational]] = []
-        acc_l = [[_ZERO] * (n + 1) for _ in range(m)]
-        acc_r = [[_ZERO] * (n + 1) for _ in range(m)]
-        for s in range(kappa):
-            af, ae, bf, be = gen.block(s + 1)
-            rad_f = af.rad()
-            rad_e = ae.rad()
-            for i in range(m):
-                for j in range(n):
-                    acc_l[i][j] += rad_f[i][j]
-                    acc_r[i][j] += rad_e[i][j]
-                acc_l[i][n] += bf[i].rad()
-                acc_r[i][n] += be[i].rad()
-            if s < kappa - 1:
-                left_rows.extend([list(row) for row in acc_l])
-                right_rows.extend([list(row) for row in acc_r])
-        # Decisive rows: full radius slack (exists minus forall) and center.
-        slack_rows = [
-            [acc_r[i][j] - acc_l[i][j] for j in range(n + 1)] for i in range(m)
+        comp = gen.compiled
+        self._n, self._kappa = comp.n, comp.kappa
+        rows = (comp.left, comp.right, comp.slack, comp.center)
+        # One common factor out of every row leaves each inequality intact.
+        common = math.gcd(*chain.from_iterable(rows)) or 1
+        self._left, self._right, self._slack, self._center = arrays = [
+            np.array([v // common for v in flat], dtype=np.int64).reshape(-1, comp.n + 1)
+            for flat in rows
         ]
-        center_rows = [[_ZERO] * (n + 1) for _ in range(m)]
-        for s in range(kappa):
-            af, ae, bf, be = gen.block(s + 1)
-            mid_f = af.mid()
-            mid_e = ae.mid()
-            for i in range(m):
-                for j in range(n):
-                    center_rows[i][j] += mid_f[i][j] + mid_e[i][j]
-                center_rows[i][n] -= bf[i].mid() + be[i].mid()
-        scale = 1
-        for rows in (left_rows, right_rows, slack_rows, center_rows):
-            for row in rows:
-                for value in row:
-                    scale = math.lcm(scale, int(value.denominator))
-        self._scale = scale
-
-        def scaled(rows: Sequence[Sequence[Rational]]) -> np.ndarray:
-            arr = np.array(
-                [[_as_int(v * scale) for v in row] for row in rows], dtype=np.int64
-            )
-            return arr.reshape((len(rows), n + 1))
-
-        self._left = scaled(left_rows)      # ((kappa-1)*m, n+1)
-        self._right = scaled(right_rows)    # ((kappa-1)*m, n+1)
-        self._slack = scaled(slack_rows)    # (m, n+1)
-        self._center = scaled(center_rows)  # (m, n+1)
-        coeff_max = 1
-        for arr in (self._left, self._right, self._slack, self._center):
-            if arr.size:
-                coeff_max = max(coeff_max, int(np.abs(arr).max()))
-        self._coeff_max = coeff_max
-
-    # Tile width of the numpy fallback (keeps per-tile products cache resident).
-    _TILE = 2048
+        self._coeff_max = max(int(np.abs(arr).max(initial=1)) for arr in arrays)
 
     def member(self, x: PointLike) -> bool:
         return self.member_many([x])[0]
@@ -739,40 +556,25 @@ class AbsFormEvaluator:
     def member_many(self, points: Sequence[PointLike]) -> List[bool]:
         encoded = self.encode_points(points)
         if encoded is None:
-            return [member_absform(self.gen, _point(x, self._n)).member for x in points]
+            return [member_absform(self.gen, x).member for x in points]
         return [bool(v) for v in self.member_batch(encoded)]
 
     def member_batch(self, aug: np.ndarray) -> np.ndarray:
         """Exact int64 membership kernel for an encoded batch.
 
         Returns a boolean array, one verdict per point column.  Exactly
-        2 * kappa * m * (n+1) integer multiply-adds per point; the
-        caller has already certified (via ``encode_points``) that no
-        intermediate can overflow, so 64-bit wraparound cannot occur.
-        """
-        kernel = _compiled_kernel()
-        out = np.empty(aug.shape[1], dtype=np.bool_)
-        if kernel is not None:
-            kernel(aug, self._left, self._right, self._slack, self._center, out)
-            return out
-        return self._member_batch_numpy(aug, out)
-
-    def _member_batch_numpy(self, aug: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Vectorized fallback used when no jit compiler is available.
-
-        Tiled so per-tile products stay cache resident; identical
-        verdicts to the compiled kernel.
+        2 * kappa * m * (n+1) integer multiply-adds per point, in tiles
+        so per-tile products stay cache resident; the caller has already
+        certified (via ``encode_points``) that no intermediate can
+        overflow, so 64-bit wraparound cannot occur.
         """
         count = aug.shape[1]
-        tile = self._TILE
-        for start in range(0, count, tile):
-            stop = min(start + tile, count)
-            chunk = aug[:, start:stop]
+        out = np.empty(count, dtype=np.bool_)
+        for start in range(0, count, self._TILE):
+            chunk = aug[:, start:start + self._TILE]
             absx = np.abs(chunk)
-            slack = self._slack @ absx
-            center = self._center @ chunk
-            ok = (np.abs(center) <= slack).all(axis=0)
+            ok = (np.abs(self._center @ chunk) <= self._slack @ absx).all(axis=0)
             if self._kappa > 1:
                 ok &= (self._left @ absx <= self._right @ absx).all(axis=0)
-            out[start:stop] = ok
+            out[start:start + self._TILE] = ok
         return out

@@ -90,9 +90,17 @@ class CliError(Exception):
 
 def _scalar(value) -> object:
     """Exact rational from a JSON scalar (string, int, or decimal literal)."""
-    if isinstance(value, (str, int, Fraction)):
+    if not isinstance(value, (str, int, Fraction)):
+        raise CliError(f"expected a rational scalar, got {value!r}")
+    return _rational(value)
+
+
+def _rational(value) -> object:
+    """Exact rational from a string or int; a malformed one is a usage error."""
+    try:
         return rat(value)
-    raise CliError(f"expected a rational scalar, got {value!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"cannot parse rational {value!r}: {exc}") from exc
 
 
 def _interval(value) -> Interval:
@@ -275,10 +283,7 @@ def _parse_point(text: str, n: int) -> PointVector:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise CliError(f"point {text!r} has {len(parts)} coordinates, system expects {n}")
-    try:
-        return PointVector(rat(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse point {text!r}: {exc}") from exc
+    return PointVector(map(_rational, parts))
 
 
 def _load_points(path: str, n: int) -> List[PointVector]:
@@ -324,6 +329,10 @@ def _run_method(method: str, gen: GeneralizedIQSystem, point: PointVector,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise CliError("--grid must be at least 2 (the two interval endpoints)")
+    if args.node_cap < 1:
+        raise CliError("--node-cap must be at least 1")
     system = load_system(args.system)
     gen = as_generalized(system)
     n = gen.shape[1]
@@ -489,7 +498,7 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
     parts = [p.strip() for p in args.bounds.split(",")]
     if len(parts) != 4:
         raise CliError("--bounds must be xmin,xmax,ymin,ymax")
-    xmin, xmax, ymin, ymax = (rat(p) for p in parts)
+    xmin, xmax, ymin, ymax = map(_rational, parts)
     if xmin >= xmax or ymin >= ymax:
         raise CliError("scan bounds must be nonempty on both axes")
     res = args.resolution

@@ -31,8 +31,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
+from .compiled import CompiledSystem, compile_blocks
 from .ivcore import Interval, IntervalMatrix, IntervalVector
 
 
@@ -320,6 +322,11 @@ class GeneralizedIQSystem:
         object.__setattr__(self, "a_exists", ae)
         object.__setattr__(self, "b_forall", bf)
         object.__setattr__(self, "b_exists", be)
+
+    @cached_property
+    def compiled(self) -> CompiledSystem:
+        """The integer rows the closed forms read, compiled on first use."""
+        return compile_blocks(self.a_forall, self.a_exists, self.b_forall, self.b_exists)
 
     @property
     def kappa(self) -> int:

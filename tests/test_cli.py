@@ -86,6 +86,16 @@ class TestDocumentFormat:
             path = write_doc(tmp_path, "broken.json", broken)
             assert main(["check", "--system", path, "--point", "1"]) == EXIT_USAGE
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        for doc in ({**UNITED_DOC, "A": [[["1/0", "2"]]]},
+                    {"format": "iqlin-system", "version": 1, "kind": "absineq",
+                     "C": [["1"]], "D": [["0"]], "c": ["5/0"], "d": ["1"]}):
+            path = write_doc(tmp_path, "zero-den.json", doc)
+            assert main(["check", "--system", path, "--point", "1"]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_ae_as_classic_round_trip(self):
         gen = outer_exists_system()
         ae = prop2_flatten(gen)
@@ -123,6 +133,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "shary" not in out
         assert "oracle" in out
+
+    def test_invalid_arguments_rejected_before_any_output(self, united_path, capsys):
+        for extra in (["--grid", "1"], ["--node-cap", "0"], ["--point", "1/0"]):
+            assert main(["check", "--system", united_path, "--point", "3/2", *extra]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
 
     def test_missing_points_is_usage_error(self, united_path):
         assert main(["check", "--system", united_path]) == EXIT_USAGE
@@ -278,6 +295,13 @@ class TestScan2d:
         path = self.make_two_var_doc(tmp_path)
         assert main(["scan2d", "--system", path, "--bounds=1,-1,0,1"]) == EXIT_USAGE
         assert main(["scan2d", "--system", path, "--bounds=0,1,0"]) == EXIT_USAGE
+
+    def test_zero_denominator_bounds(self, tmp_path, capsys):
+        path = self.make_two_var_doc(tmp_path)
+        assert main(["scan2d", "--system", path, "--bounds=1/0,1,0,1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "1/0" in captured.err
 
 
 class TestGen:

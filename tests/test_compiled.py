@@ -1,0 +1,266 @@
+"""Differential tests: compiled integer closed forms against rational references.
+
+The reference implementations below evaluate both closed forms and the
+Prop. 2 flattening directly in rational arithmetic, entry by entry,
+from the interval data (``mid()``, ``rad()`` and interval matrix
+products).  Every compiled path must return the same verdict, including
+the first violated condition.
+"""
+
+import random
+from fractions import Fraction
+from typing import List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import gen_1x1
+from iqlin import (
+    AbsFormEvaluator,
+    AbsIneqSystem,
+    ConditionKind,
+    InstanceSpec,
+    MembershipVerdict,
+    PointVector,
+    Violation,
+    member_absform,
+    member_absform_twosided,
+    member_intervalform,
+    prop1_construct,
+    prop2_flatten,
+    random_instance,
+    rat,
+)
+
+_ZERO = rat(0)
+_MEMBER = MembershipVerdict(True)
+_HUGE_DEN = 2 ** 61 + 7
+
+
+def ref_intervalform(gen, pv: PointVector) -> MembershipVerdict:
+    m = gen.shape[0]
+    kappa = gen.kappa
+    left = [gen.a_forall[s] @ pv - gen.b_forall[s] for s in range(kappa)]
+    right = [gen.b_exists[s] - gen.a_exists[s] @ pv for s in range(kappa)]
+    lw = [_ZERO] * m
+    rw = [_ZERO] * m
+    for level in range(1, kappa):
+        lw = [acc + ivl.wid() for acc, ivl in zip(lw, left[level - 1])]
+        rw = [acc + ivl.wid() for acc, ivl in zip(rw, right[level - 1])]
+        if any(a > b for a, b in zip(lw, rw)):
+            return MembershipVerdict(False, Violation(ConditionKind.WIDTH_ORDER, level))
+    lsum = left[0]
+    for vec in left[1:]:
+        lsum = lsum + vec
+    rsum = right[0]
+    for vec in right[1:]:
+        rsum = rsum + vec
+    for i in range(m):
+        if not lsum[i].subset_of(rsum[i]):
+            return MembershipVerdict(False, Violation(ConditionKind.INCLUSION, i + 1))
+    return _MEMBER
+
+
+def _block_spreads(gen, absx):
+    m, n = gen.shape
+    left = []
+    right = []
+    for s in range(gen.kappa):
+        af, ae, bf, be = gen.a_forall[s], gen.a_exists[s], gen.b_forall[s], gen.b_exists[s]
+        lrow = []
+        rrow = []
+        for i in range(m):
+            accl = bf[i].rad()
+            accr = be[i].rad()
+            for j in range(n):
+                accl += af.rows[i][j].rad() * absx[j]
+                accr += ae.rows[i][j].rad() * absx[j]
+            lrow.append(accl)
+            rrow.append(accr)
+        left.append(lrow)
+        right.append(rrow)
+    return left, right
+
+
+def _center_residual(gen, pv):
+    m, n = gen.shape
+    out = []
+    for i in range(m):
+        acc = _ZERO
+        for s in range(gen.kappa):
+            for j in range(n):
+                acc += (gen.a_forall[s].rows[i][j].mid() + gen.a_exists[s].rows[i][j].mid()) * pv[j]
+            acc -= gen.b_forall[s][i].mid() + gen.b_exists[s][i].mid()
+        out.append(acc)
+    return out
+
+
+def ref_absform(gen, pv: PointVector) -> MembershipVerdict:
+    m = gen.shape[0]
+    left, right = _block_spreads(gen, [abs(v) for v in pv])
+    lacc = [_ZERO] * m
+    racc = [_ZERO] * m
+    for level in range(1, gen.kappa):
+        lacc = [a + b for a, b in zip(lacc, left[level - 1])]
+        racc = [a + b for a, b in zip(racc, right[level - 1])]
+        if any(a > b for a, b in zip(lacc, racc)):
+            return MembershipVerdict(False, Violation(ConditionKind.RADIUS_ORDER, level))
+    center = _center_residual(gen, pv)
+    ltot = [sum(col, _ZERO) for col in zip(*left)]
+    rtot = [sum(col, _ZERO) for col in zip(*right)]
+    for i in range(m):
+        if abs(center[i]) + ltot[i] > rtot[i]:
+            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i + 1))
+    return _MEMBER
+
+
+def ref_prop2_flatten(gen):
+    m, n = gen.shape
+    kappa = gen.kappa
+    C, D, c, d = [], [], [], []
+    dmat = [[_ZERO] * n for _ in range(m)]
+    dvec = [_ZERO] * m
+    for level in range(1, kappa + 1):
+        af, ae, bf, be = gen.block(level)
+        for i in range(m):
+            for j in range(n):
+                dmat[i][j] += ae.entry(i, j).rad() - af.entry(i, j).rad()
+            dvec[i] += be[i].rad() - bf[i].rad()
+        if level < kappa:
+            for i in range(m):
+                C.append([_ZERO] * n)
+                D.append(list(dmat[i]))
+                c.append(_ZERO)
+                d.append(dvec[i])
+    for i in range(m):
+        crow = [_ZERO] * n
+        ci = _ZERO
+        for s in range(1, kappa + 1):
+            af, ae, bf, be = gen.block(s)
+            for j in range(n):
+                crow[j] += af.entry(i, j).mid() + ae.entry(i, j).mid()
+            ci += bf[i].mid() + be[i].mid()
+        C.append(crow)
+        D.append(list(dmat[i]))
+        c.append(ci)
+        d.append(dvec[i])
+    return prop1_construct(AbsIneqSystem(C, D, c, d))
+
+
+def draw_point(rng: random.Random, n: int) -> PointVector:
+    """Coordinates mix zeros, small fractions and denominators above 2**61."""
+    coords = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.25:
+            coords.append(Fraction(0))
+        elif kind < 0.4:
+            coords.append(Fraction(rng.randint(-2 ** 62, 2 ** 62), _HUGE_DEN + rng.randrange(2 ** 20)))
+        else:
+            coords.append(Fraction(rng.randint(-8, 8), rng.randint(1, 6)))
+    return PointVector(coords)
+
+
+def assert_all_paths_agree(gen, points: List[PointVector]) -> set:
+    """Compare every per-point path with the references; return the violation kinds seen."""
+    kinds = set()
+    for pv in points:
+        want_abs = ref_absform(gen, pv)
+        want_interval = ref_intervalform(gen, pv)
+        assert member_absform(gen, pv) == want_abs, (gen, pv)
+        assert member_absform_twosided(gen, pv) == want_abs, (gen, pv)
+        assert member_intervalform(gen, pv) == want_interval, (gen, pv)
+        assert want_abs.member == want_interval.member
+        kinds.update(v.violated.kind for v in (want_abs, want_interval) if not v.member)
+    return kinds
+
+
+def test_seeded_systems_all_shapes():
+    rng = random.Random(20261018)
+    kinds = set()
+    for kappa in range(1, 6):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for zero_prob in (0.0, 0.5, 1.0):
+                    spec = InstanceSpec(m=m, n=n, kappa=kappa, seed=rng.randrange(2 ** 31),
+                                        zero_prob=zero_prob)
+                    gen = random_instance(spec)
+                    points = [draw_point(rng, n) for _ in range(3)]
+                    points.append(PointVector([0] * n))
+                    kinds |= assert_all_paths_agree(gen, points)
+    # Agreement says little about diagnostics unless every failure kind occurred.
+    assert kinds == {ConditionKind.RADIUS_ORDER, ConditionKind.CENTER_BOUND,
+                     ConditionKind.WIDTH_ORDER, ConditionKind.INCLUSION}
+
+
+def test_boundary_points():
+    # Tolerable 1x1 set [1, 4] x inside [1, 8] is [1, 2]; at 0 the lower
+    # inclusion fails by one unit of the cleared arithmetic.
+    gen = gen_1x1(a_fa=(1, 4), b_ex=(1, 8))
+    points = [PointVector([v]) for v in ("0", "1/4", "1", "3/2", "2", "9/4", "-1")]
+    assert [member_intervalform(gen, p).member for p in points] == [False, False, True, True, True, False, False]
+    assert_all_paths_agree(gen, points)
+    # Two blocks whose level-1 width order holds with equality at every x;
+    # the solution set is [-1, 1].
+    gen = gen_1x1(blocks=[((0, 2), (-1, 1), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0), (-1, 1))])
+    points = [PointVector([v]) for v in ("0", "1/2", "1", "-1", "3/2", "-3/2")]
+    assert [member_absform(gen, p).member for p in points] == [True, True, True, True, False, False]
+    assert_all_paths_agree(gen, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kappa=st.integers(1, 5),
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    zero_prob=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    max_denominator=st.sampled_from([1, 4, 9]),
+    coords=st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-10, max_value=10, max_denominator=12),
+            st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 61 + 1, 2 ** 64)),
+        ),
+        min_size=4, max_size=4,
+    ),
+)
+def test_hypothesis_systems(kappa, m, n, zero_prob, seed, max_denominator, coords):
+    spec = InstanceSpec(m=m, n=n, kappa=kappa, seed=seed, zero_prob=zero_prob,
+                        max_denominator=max_denominator)
+    gen = random_instance(spec)
+    assert_all_paths_agree(gen, [PointVector(coords[:n]), PointVector(coords[-n:])])
+
+
+def test_prop2_flatten_matches_reference():
+    rng = random.Random(99)
+    for _ in range(150):
+        spec = InstanceSpec(m=rng.randint(1, 4), n=rng.randint(1, 4), kappa=rng.randint(1, 5),
+                            seed=rng.randrange(2 ** 31), zero_prob=rng.choice([0.0, 0.4, 1.0]),
+                            max_denominator=rng.choice([1, 4, 7]))
+        gen = random_instance(spec)
+        assert prop2_flatten(gen) == ref_prop2_flatten(gen)
+
+
+def test_evaluator_coefficients_are_reduced():
+    # Doubled rows of [0, 2] are all even; divided by their gcd they match the
+    # smallest integer scaling, so this point still fits the int64 bound.
+    gen = gen_1x1(a_ex=(0, 2))
+    assert AbsFormEvaluator(gen).encode_points([PointVector([2 ** 59])]) is not None
+
+
+def test_batch_and_fallback_match_per_point():
+    rng = random.Random(4242)
+    for _ in range(60):
+        spec = InstanceSpec(m=rng.randint(1, 4), n=rng.randint(1, 4), kappa=rng.randint(1, 5),
+                            seed=rng.randrange(2 ** 31), zero_prob=rng.choice([0.2, 0.5]))
+        gen = random_instance(spec)
+        evaluator = AbsFormEvaluator(gen)
+        in_bound = [PointVector(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(spec.n))
+                    for _ in range(40)]
+        over_bound = in_bound[:5] + [PointVector([Fraction(1, _HUGE_DEN)] * spec.n)]
+        assert evaluator.encode_points(in_bound) is not None
+        assert evaluator.encode_points(over_bound) is None
+        for batch in (in_bound, over_bound):
+            assert evaluator.member_many(batch) == [member_absform(gen, p).member for p in batch]
+            assert evaluator.member_many(batch) == [ref_absform(gen, p).member for p in batch]
