@@ -113,14 +113,16 @@ def _point(x: PointLike, n: int) -> PointVector:
     return pv
 
 
-def _cleared(x: PointLike, n: int) -> Tuple[list, int]:
-    """The point as integers (x_j * lx, ...) and lx, the lcm of its denominators."""
-    pv = _point(x, n)
-    lx = math.lcm(*(v.denominator for v in pv))
-    return [v.numerator * (lx // v.denominator) for v in pv], lx
+def _cleared(x: PointLike, n: int) -> list:
+    """The point as the integer column (x_1 * lx, ..., x_n * lx, lx), lx the lcm of its denominators."""
+    ratios = [v.as_integer_ratio() for v in _point(x, n).entries]
+    lx = math.lcm(*[d for _, d in ratios])
+    column = [p * (lx // d) for p, d in ratios]
+    column.append(lx)
+    return column
 
 
-def _row_dots(flat: tuple, vec: tuple) -> list:
+def _row_dots(flat: tuple, vec: list) -> list:
     """Dot product of vec with each consecutive len(vec)-long row of flat."""
     width = len(vec)
     ends = list(accumulate(map(mul, flat, vec * (len(flat) // width))))[width - 1::width]
@@ -138,10 +140,9 @@ def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVer
     """
     comp = gen.compiled
     m = comp.m
-    xs, lx = _cleared(x, comp.n)
     rows = 2 * comp.kappa * m
     lo = hi = [0] * rows
-    for k, xj in zip(range(0, len(comp.endpoints), 2 * rows), (*xs, lx)):
+    for k, xj in zip(range(0, len(comp.endpoints), 2 * rows), _cleared(x, comp.n)):
         if xj:
             lo_col, hi_col = comp.endpoints[k:k + rows], comp.endpoints[k + rows:k + 2 * rows]
             if xj < 0:
@@ -173,12 +174,12 @@ def _midrad_rows(gen: GeneralizedIQSystem, x: PointLike) -> Tuple[Optional[Viola
     sum minus the forall radius sum at |x|.
     """
     comp = gen.compiled
-    xs, lx = _cleared(x, comp.n)
-    absx = (*map(abs, xs), lx)
+    aug = _cleared(x, comp.n)
+    absx = list(map(abs, aug))
     for k, (lsum, rsum) in enumerate(zip(_row_dots(comp.left, absx), _row_dots(comp.right, absx))):
         if lsum > rsum:
             return Violation(ConditionKind.RADIUS_ORDER, k // comp.m + 1), ()
-    return None, zip(_row_dots(comp.center, (*xs, lx)), _row_dots(comp.slack, absx))
+    return None, zip(_row_dots(comp.center, aug), _row_dots(comp.slack, absx))
 
 
 def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
@@ -501,6 +502,9 @@ class AbsFormEvaluator:
     2 * kappa * m * (n+1) multiply-adds per point.  When the
     conservative overflow bound fails, evaluation falls back to
     ``member_absform`` point by point, so verdicts always equal it.
+    Rows too large for that bound even at a unit point are never
+    converted to int64, and every batch of such a system takes the
+    per-point path.
     """
 
     # Tile width of the batch kernel (keeps per-tile products cache resident).
@@ -513,11 +517,19 @@ class AbsFormEvaluator:
         rows = (comp.left, comp.right, comp.slack, comp.center)
         # One common factor out of every row leaves each inequality intact.
         common = math.gcd(*chain.from_iterable(rows)) or 1
-        self._left, self._right, self._slack, self._center = arrays = [
-            np.array([v // common for v in flat], dtype=np.int64).reshape(-1, comp.n + 1)
-            for flat in rows
-        ]
-        self._coeff_max = max(int(np.abs(arr).max(initial=1)) for arr in arrays)
+        rows = [[v // common for v in flat] for flat in rows]
+        self._coeff_max = max(1, max(map(abs, chain.from_iterable(rows))))
+        self._left = self._right = self._slack = self._center = None
+        if self._fits(1):
+            self._left, self._right, self._slack, self._center = [
+                np.array(flat, dtype=np.int64).reshape(-1, comp.n + 1) for flat in rows
+            ]
+
+    def _fits(self, max_abs: int) -> bool:
+        """The overflow bound for encoded entries of magnitude at most max_abs."""
+        # Each accumulated row value is at most coeff * (n+1) * max|entry| in
+        # magnitude; factor 2 leaves headroom for the comparisons.
+        return 2 * self._coeff_max * (self._n + 1) * max_abs < 2 ** 62
 
     def member(self, x: PointLike) -> bool:
         return self.member_many([x])[0]
@@ -526,32 +538,16 @@ class AbsFormEvaluator:
         """Clear point denominators into an int64 array for ``member_batch``.
 
         Each point becomes the column (x * lx, lx) with lx the positive
-        lcm of its denominators, which leaves every membership
-        inequality unchanged.  Returns None when the conservative
-        overflow bound rules out exact int64 evaluation.
+        lcm of its denominators (``_cleared``), which leaves every
+        membership inequality unchanged.  Returns None when the
+        conservative overflow bound rules out exact int64 evaluation.
         """
-        pvs = [_point(x, self._n) for x in points]
         n = self._n
-        num = np.empty((n + 1, len(pvs)), dtype=object)
-        max_abs_x = 0
-        for k, pv in enumerate(pvs):
-            lx = 1
-            for v in pv:
-                lx = math.lcm(lx, int(v.denominator))
-            num[n, k] = lx
-            for j, v in enumerate(pv):
-                scaled = int(v.numerator) * (lx // int(v.denominator))
-                num[j, k] = scaled
-                if -scaled > max_abs_x or scaled > max_abs_x:
-                    max_abs_x = abs(scaled)
-            if lx > max_abs_x:
-                max_abs_x = lx
-        # Each accumulated row value is at most coeff * (n+1) * max|entry| in
-        # magnitude; factor 2 leaves headroom for the comparisons.
-        bound = 2 * self._coeff_max * (n + 1) * max_abs_x
-        if bound >= 2 ** 62:
+        columns = [_cleared(x, n) for x in points]
+        if not self._fits(max(map(abs, chain.from_iterable(columns)), default=1)):
             return None
-        return num.astype(np.int64)
+        # One column per point, C-contiguous for the kernel's column tiles.
+        return np.array(columns, dtype=np.int64).reshape(-1, n + 1).T.copy()
 
     def member_many(self, points: Sequence[PointLike]) -> List[bool]:
         encoded = self.encode_points(points)

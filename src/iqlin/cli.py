@@ -32,10 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -466,31 +464,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
 # scan2d
 # ---------------------------------------------------------------------------
 
-_SCAN_STATE = {}
-
-
-def _scan_init(gen: GeneralizedIQSystem, xs: list, ys: list) -> None:
-    _SCAN_STATE["evaluator"] = AbsFormEvaluator(gen)
-    _SCAN_STATE["xs"] = xs
-    _SCAN_STATE["ys"] = ys
-
-
-def _scan_row(i: int) -> List[bool]:
-    evaluator = _SCAN_STATE["evaluator"]
-    x1 = _SCAN_STATE["xs"][i]
-    return evaluator.member_many([PointVector((x1, y)) for y in _SCAN_STATE["ys"]])
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("IQLIN_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise CliError(f"IQLIN_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
+# The largest grid side scan2d accepts; its output has resolution**2 cells.
+MAX_SCAN_RESOLUTION = 2000
 
 
 def cmd_scan2d(args: argparse.Namespace) -> int:
+    res = args.resolution
+    if not 1 <= res <= MAX_SCAN_RESOLUTION:
+        raise CliError(f"--resolution must be between 1 and {MAX_SCAN_RESOLUTION}")
     system = load_system(args.system)
     gen = as_generalized(system)
     if gen.shape[1] != 2:
@@ -501,20 +482,11 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
     xmin, xmax, ymin, ymax = map(_rational, parts)
     if xmin >= xmax or ymin >= ymax:
         raise CliError("scan bounds must be nonempty on both axes")
-    res = args.resolution
-    if res < 1:
-        raise CliError("resolution must be positive")
     # Cell centers, exact rationals.
     xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
     ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
-    threads = _thread_count()
-    if threads == 1:
-        _scan_init(gen, xs, ys)
-        grid = [_scan_row(i) for i in range(res)]
-    else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_scan_init,
-                                 initargs=(gen, xs, ys)) as pool:
-            grid = list(pool.map(_scan_row, range(res), chunksize=max(1, res // (4 * threads))))
+    evaluator = AbsFormEvaluator(gen)
+    grid = [evaluator.member_many([PointVector((x1, y)) for y in ys]) for x1 in xs]
     if args.format == "csv":
         lines = ["x1,x2,member"]
         for i in range(res):
@@ -615,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan2d", help="rasterize a 2-D solution set to CSV or SVG")
     p_scan.add_argument("--system", required=True)
     p_scan.add_argument("--bounds", required=True, help="xmin,xmax,ymin,ymax (rationals)")
-    p_scan.add_argument("--resolution", type=int, default=100)
+    p_scan.add_argument("--resolution", type=int, default=100,
+                        help=f"cells per axis, 1 to {MAX_SCAN_RESOLUTION}")
     p_scan.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_scan.add_argument("--output", help="output path (stdout when omitted)")
     p_scan.set_defaults(func=cmd_scan2d)

@@ -1,8 +1,8 @@
 """Exact interval arithmetic over arbitrary-precision rationals.
 
-Scalars are rationals (gmpy2.mpq when available, fractions.Fraction
-otherwise), so every operation here is exact: no rounding, no outward
-widening, and equalities between derived quantities are decidable.
+Scalars are ``fractions.Fraction`` (exported as ``Rational``), so every
+operation here is exact: no rounding, no outward widening, and
+equalities between derived quantities are decidable.
 Intervals are nonempty closed bounded segments [lo, hi] with rational
 endpoints; vectors and matrices are rectangular arrays of them.
 
@@ -22,43 +22,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-try:
-    from gmpy2 import mpq as _mpq
+Rational = Fraction
 
-    Rational = _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Rational = Fraction
-
-RationalLike = Union[int, str, Fraction, "Rational"]
+RationalLike = Union[int, str, Fraction]
 
 _ZERO = Rational(0)
-_ONE = Rational(1)
 _TWO = Rational(2)
 
 
 def rat(value: RationalLike) -> Rational:
     """Coerce to an exact rational.
 
-    Accepts ints, Fractions, existing rationals, and strings.  Strings
-    may be fraction literals ("3/2", "-7") or decimal literals ("0.25"),
-    both parsed exactly; binary floats are rejected to keep the library
-    free of rounding contamination.
+    Accepts ints (numpy integers included), Fractions and other exact
+    rationals, and strings.  Strings may be fraction literals ("3/2",
+    "-7") or decimal literals ("0.25"), both parsed exactly; binary
+    floats are rejected to keep the library free of rounding
+    contamination.  The result is always a Fraction of Python ints.
     """
-    if type(value) is Rational:
+    if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(
             "refusing to build a rational from a binary float; "
             "pass an int, a Fraction, or a string literal like '3/2' or '0.25'"
         )
-    if isinstance(value, str):
-        value = Fraction(value)
-    if isinstance(value, int):
-        return Rational(value)
+    if isinstance(value, (str, int)):
+        return Fraction(value)
     numerator = getattr(value, "numerator", None)
     if numerator is not None:
-        return Rational(int(numerator), int(value.denominator))
-    return Rational(value)
+        return Fraction(int(numerator), int(value.denominator))
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,21 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from iqlin import InstanceSpec, member_absform, prop2_flatten, random_instance
+from iqlin import InstanceSpec, build_tuples, member_absform, member_intervalform, prop2_flatten, random_instance
 from iqlin.charac import MembershipVerdict
 from iqlin.cli import (
     EXIT_CROSS_CHECK,
     EXIT_NOT_MEMBER,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_SCAN_RESOLUTION,
     ae_as_classic,
     classic_document,
     generalized_document,
@@ -296,6 +299,30 @@ class TestScan2d:
         assert main(["scan2d", "--system", path, "--bounds=1,-1,0,1"]) == EXIT_USAGE
         assert main(["scan2d", "--system", path, "--bounds=0,1,0"]) == EXIT_USAGE
 
+    def test_resolution_cap(self, tmp_path, capsys):
+        path = self.make_two_var_doc(tmp_path)
+        for res in (0, MAX_SCAN_RESOLUTION + 1):
+            assert main(["scan2d", "--system", path, "--bounds=-1,1,-1,1",
+                         "--resolution", str(res)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "--resolution" in captured.err
+
+    def test_rows_beyond_int64(self, tmp_path, capsys):
+        # An entry of [-10^23, 10^23] gives compiled rows past int64; every
+        # cell must still be decided exactly, without a traceback.
+        doc = dict(UNITED_DOC, n=2, A=[[["-100000000000000000000000", "100000000000000000000000"], ["1", "2"]]],
+                   b=[["0", "1"]], prefix="A a[1,1] E a[1,2] E b[1]")
+        path = write_doc(tmp_path, "huge.json", doc)
+        assert main(["scan2d", "--system", path, "--bounds=-2,2,-2,2",
+                     "--resolution", "5", "--format", "csv"]) == EXIT_OK
+        gen = build_tuples(load_system(path))
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 25
+        for x1, x2, flag in rows:
+            assert flag == ("1" if member_intervalform(gen, [x1, x2]).member else "0")
+        assert {(x1, x2) for x1, x2, flag in rows if flag == "1"} == {("0", "0"), ("0", "4/5")}
+
     def test_zero_denominator_bounds(self, tmp_path, capsys):
         path = self.make_two_var_doc(tmp_path)
         assert main(["scan2d", "--system", path, "--bounds=1/0,1,0,1"]) == EXIT_USAGE
@@ -329,3 +356,18 @@ class TestGen:
 
     def test_invalid_spec(self, tmp_path):
         assert main(["gen", "--m", "0", "--output", str(tmp_path / "x.json")]) == EXIT_USAGE
+
+
+def test_import_loads_no_process_pool():
+    # The CLI runs in one process; importing it must not load process-pool
+    # machinery.  The one scalar type is fractions.Fraction.
+    import iqlin
+
+    code = ("import fractions, sys, iqlin.cli, iqlin.ivcore; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]); "
+            "print(iqlin.ivcore.Rational is fractions.Fraction)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iqlin.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120, check=True)
+    assert result.stdout.splitlines() == ["[]", "True"]

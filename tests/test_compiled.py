@@ -14,11 +14,12 @@ from typing import List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_1x1
+from conftest import gen_1x1, imat, ivec
 from iqlin import (
     AbsFormEvaluator,
     AbsIneqSystem,
     ConditionKind,
+    GeneralizedIQSystem,
     InstanceSpec,
     MembershipVerdict,
     PointVector,
@@ -264,3 +265,24 @@ def test_batch_and_fallback_match_per_point():
         for batch in (in_bound, over_bound):
             assert evaluator.member_many(batch) == [member_absform(gen, p).member for p in batch]
             assert evaluator.member_many(batch) == [ref_absform(gen, p).member for p in batch]
+
+
+def test_rows_beyond_int64_take_exact_path():
+    # A [-10^23, 10^23] entry puts the evaluator's rows past int64: building
+    # it must not raise, and every batch, the empty one too, goes per point.
+    huge = 10 ** 23
+    gen = GeneralizedIQSystem(
+        a_forall=[imat([[(-huge, huge), (0, 0)]])],
+        a_exists=[imat([[(0, 0), (1, 2)]])],
+        b_forall=[ivec([(0, 0)])],
+        b_exists=[ivec([(0, 1)])],
+    )
+    evaluator = AbsFormEvaluator(gen)
+    points = [PointVector([Fraction(i, 2), Fraction(j, 3)]) for i in range(-3, 4) for j in range(-4, 5)]
+    assert evaluator.encode_points(points) is None
+    assert evaluator.encode_points([]) is None
+    verdicts = evaluator.member_many(points)
+    assert verdicts == [member_absform(gen, p).member for p in points]
+    assert verdicts == [ref_absform(gen, p).member for p in points]
+    assert any(verdicts) and not all(verdicts)
+    assert evaluator.member_many([]) == []

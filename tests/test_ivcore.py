@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,13 @@ class TestScalars:
         assert rat("3/2") == Fraction(3, 2)
         assert rat("0.25") == Fraction(1, 4)
         assert rat("-7") == -7
+
+    def test_numpy_scalars(self):
+        value = rat(np.int64(-5))
+        assert type(value) is Fraction and value == -5
+        assert type(value.numerator) is int and type(value.denominator) is int
+        with pytest.raises(TypeError):
+            rat(np.float64(0.5))
 
     def test_subset(self):
         assert ivl(3, 6).subset_of(ivl(3, 7))
