@@ -25,10 +25,10 @@ and controllable solution sets as the familiar special cases.
 
 The constructive conversions are here too: an absolute-value inequality
 system |Cx - c| <= D|x| + d is realized as an AE system
-(``prop1_construct``), a one-block pair system reduces to it
-(``corollary1_construct``), and a kappa-block system flattens into a
+(``prop1_construct``), and a kappa-block system flattens into a
 stacked (kappa*m)-row AE system with identical solution set
-(``prop2_flatten``).
+(``prop2_flatten``); at kappa = 1 that is the reduction of a
+one-block pair system (``corollary1_construct``).
 
 Failure diagnostics are deterministic: verdicts report the first
 violated condition, checking prefix-sum levels in ascending order and
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
 from operator import add, gt, mul, sub
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,9 @@ from .ivcore import (
     Interval,
     IntervalMatrix,
     IntervalVector,
-    PointVector,
+    PointLike,
     Rational,
-    RationalLike,
+    point_entries,
     rat,
     rational_matrix,
     rational_vector,
@@ -103,19 +103,9 @@ class MembershipVerdict:
 
 _MEMBER = MembershipVerdict(True)
 
-PointLike = Union[PointVector, Sequence[RationalLike]]
-
-
-def _point(x: PointLike, n: int) -> PointVector:
-    pv = x if isinstance(x, PointVector) else PointVector(x)
-    if len(pv) != n:
-        raise ValueError(f"point has length {len(pv)}, system expects {n}")
-    return pv
-
-
 def _cleared(x: PointLike, n: int) -> list:
     """The point as the integer column (x_1 * lx, ..., x_n * lx, lx), lx the lcm of its denominators."""
-    ratios = [v.as_integer_ratio() for v in _point(x, n).entries]
+    ratios = [v.as_integer_ratio() for v in point_entries(x, n)]
     lx = math.lcm(*[d for _, d in ratios])
     column = [p * (lx // d) for p, d in ratios]
     column.append(lx)
@@ -193,21 +183,6 @@ def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
     return _MEMBER
 
 
-def member_absform_twosided(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
-    """Sandwich variant of the center bound: -(R-L) <= center <= R-L.
-
-    Rowwise equivalent to ``member_absform``; both are kept and tested
-    against each other because they exercise different comparisons.
-    """
-    bad, rows = _midrad_rows(gen, x)
-    if bad is not None:
-        return MembershipVerdict(False, bad)
-    for i, (center, slack) in enumerate(rows, start=1):
-        if not -slack <= center <= slack:
-            return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i))
-    return _MEMBER
-
-
 # ---------------------------------------------------------------------------
 # One-block (AE) characterizations
 # ---------------------------------------------------------------------------
@@ -222,7 +197,7 @@ def member_shary_blocks(
 ) -> MembershipVerdict:
     """Shary inclusion for a one-block pair system: A' x - b'  inside  b'' - A'' x."""
     m, n = a_fa.shape
-    pv = _point(x, n)
+    pv = point_entries(x, n)
     lhs = a_fa @ pv - b_fa
     rhs = b_ex - a_ex @ pv
     for i in range(m):
@@ -244,7 +219,7 @@ def member_rohn_blocks(
         <= (rad A'' - rad A') |x| + rad b'' - rad b'   componentwise.
     """
     m, n = a_fa.shape
-    pv = _point(x, n)
+    pv = point_entries(x, n)
     for i in range(m):
         center = -(b_fa[i].mid() + b_ex[i].mid())
         slack = b_ex[i].rad() - b_fa[i].rad()
@@ -327,10 +302,6 @@ class AESystem:
                 bex[i] = self.b[i]
         return (IntervalMatrix(fa), IntervalMatrix(ex), IntervalVector(bfa), IntervalVector(bex))
 
-    def as_generalized(self) -> GeneralizedIQSystem:
-        fa, ex, bfa, bex = self.split()
-        return GeneralizedIQSystem((fa,), (ex,), (bfa,), (bex,))
-
 
 def member_shary(ae: AESystem, x: PointLike) -> MembershipVerdict:
     return member_shary_blocks(*ae.split(), x)
@@ -391,7 +362,7 @@ class AbsIneqSystem:
 def member_absineq(sys: AbsIneqSystem, x: PointLike) -> MembershipVerdict:
     """Direct rowwise evaluation of |Cx - c| <= D|x| + d."""
     m, n = sys.shape
-    pv = _point(x, n)
+    pv = point_entries(x, n)
     for i in range(m):
         lhs = -sys.c[i]
         rhs = sys.d[i]
@@ -440,23 +411,12 @@ def corollary1_construct(
 ) -> AESystem:
     """AE system equivalent to a one-block pair system.
 
-    Plugs C = mid A' + mid A'', D = rad A'' - rad A', c = mid b' +
-    mid b'', d = rad b'' - rad b' into ``prop1_construct``.
+    This is ``prop2_flatten`` at kappa = 1: C = mid A' + mid A'',
+    D = rad A'' - rad A', c = mid b' + mid b'', d = rad b'' - rad b'
+    plugged into ``prop1_construct``.  Blocks of mismatched shape
+    raise ValueError.
     """
-    m, n = a_fa.shape
-    if a_ex.shape != (m, n) or len(b_fa) != m or len(b_ex) != m:
-        raise ValueError("pair system blocks must share one shape")
-    C = [
-        [a_fa.entry(i, j).mid() + a_ex.entry(i, j).mid() for j in range(n)]
-        for i in range(m)
-    ]
-    D = [
-        [a_ex.entry(i, j).rad() - a_fa.entry(i, j).rad() for j in range(n)]
-        for i in range(m)
-    ]
-    c = [b_fa[i].mid() + b_ex[i].mid() for i in range(m)]
-    d = [b_ex[i].rad() - b_fa[i].rad() for i in range(m)]
-    return prop1_construct(AbsIneqSystem(C, D, c, d))
+    return prop2_flatten(GeneralizedIQSystem((a_fa,), (a_ex,), (b_fa,), (b_ex,)))
 
 
 def prop2_flatten(gen: GeneralizedIQSystem) -> AESystem:
@@ -530,9 +490,6 @@ class AbsFormEvaluator:
         # Each accumulated row value is at most coeff * (n+1) * max|entry| in
         # magnitude; factor 2 leaves headroom for the comparisons.
         return 2 * self._coeff_max * (self._n + 1) * max_abs < 2 ** 62
-
-    def member(self, x: PointLike) -> bool:
-        return self.member_many([x])[0]
 
     def encode_points(self, points: Sequence[PointLike]) -> Optional[np.ndarray]:
         """Clear point denominators into an int64 array for ``member_batch``.

@@ -35,6 +35,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .charac import (
@@ -47,6 +48,8 @@ from .charac import (
     member_rohn,
     member_rohn_blocks,
     member_shary_blocks,
+    prop1_construct,
+    prop2_flatten,
 )
 from .ivcore import Interval, IntervalMatrix, IntervalVector, PointVector, rat
 from .oracle import InstanceSpec, NodeCapExceeded, Outcome, game_oracle, random_instance, random_point
@@ -54,6 +57,7 @@ from .prefix import (
     ClassicIQSystem,
     GeneralizedIQSystem,
     Quantifier,
+    QuantifierPrefix,
     block_shapes,
     build_tuples,
     decompose_ae_blocks,
@@ -88,7 +92,7 @@ class CliError(Exception):
 
 def _scalar(value) -> object:
     """Exact rational from a JSON scalar (string, int, or decimal literal)."""
-    if not isinstance(value, (str, int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise CliError(f"expected a rational scalar, got {value!r}")
     return _rational(value)
 
@@ -124,7 +128,7 @@ def parse_system(doc) -> SystemLike:
         raise CliError("system document must be a JSON object")
     if doc.get("format") != FORMAT_NAME:
         raise CliError(f'system document must declare "format": "{FORMAT_NAME}"')
-    if doc.get("version") != FORMAT_VERSION:
+    if isinstance(doc.get("version"), bool) or doc.get("version") != FORMAT_VERSION:
         raise CliError(f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
     if kind == "classic":
@@ -141,7 +145,7 @@ def parse_system(doc) -> SystemLike:
         kappa = doc.get("kappa")
         if not (isinstance(blocks, list) and blocks):
             raise CliError("generalized document needs a nonempty blocks array")
-        if kappa != len(blocks):
+        if isinstance(kappa, bool) or kappa != len(blocks):
             raise CliError("kappa must equal the number of blocks")
         a_fa, a_ex, b_fa, b_ex = [], [], [], []
         for idx, blk in enumerate(blocks, start=1):
@@ -171,7 +175,7 @@ def parse_system(doc) -> SystemLike:
 def _dims(doc) -> Tuple[int, int]:
     m = doc.get("m")
     n = doc.get("n")
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, n)):
         raise CliError("document needs positive integer dimensions m and n")
     return m, n
 
@@ -236,8 +240,6 @@ def ae_as_classic(ae: AESystem) -> ClassicIQSystem:
                     bindings.append((matrix_param(i, j), want))
             if ae.beta[i - 1] is want:
                 bindings.append((rhs_param(i), want))
-    from .prefix import QuantifierPrefix
-
     return ClassicIQSystem(ae.A, ae.b, QuantifierPrefix(m, n, bindings))
 
 
@@ -256,7 +258,10 @@ def load_system(path: str) -> SystemLike:
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    _write(json.dumps(doc, indent=2) + "\n", output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
@@ -417,47 +422,29 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _spot_check(source_member, target_member, n: int, magnitude: int) -> None:
+def cmd_convert(args: argparse.Namespace) -> int:
+    system = load_system(args.system)
+    if args.target == "ae-flatten":
+        gen = as_generalized(system)
+        ae = prop2_flatten(gen)
+        source_member = partial(member_absform, gen)
+    else:
+        if not isinstance(system, AbsIneqSystem):
+            raise CliError("from-absineq expects an absineq system document")
+        ae = prop1_construct(system)
+        source_member = partial(member_absineq, system)
+    # Spot check: source and target agree on 10 seeded points before any output.
+    n = ae.shape[1]
     rng = random.Random(20240 + n)
     for _ in range(10):
-        point = random_point(n, rng, magnitude=magnitude, max_denominator=8)
-        if bool(source_member(point)) != bool(target_member(point)):
+        point = random_point(n, rng, magnitude=8, max_denominator=8)
+        if source_member(point).member != member_rohn(ae, point).member:
             raise CliError(
                 f"conversion spot check failed at {point}; refusing to write output",
                 code=EXIT_CROSS_CHECK,
             )
-
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
-    if args.target == "ae-flatten":
-        from .charac import prop2_flatten
-
-        gen = as_generalized(system)
-        ae = prop2_flatten(gen)
-        _spot_check(
-            lambda p: member_absform(gen, p).member,
-            lambda p: member_rohn(ae, p).member,
-            gen.shape[1],
-            args.magnitude,
-        )
-        _emit(classic_document(ae_as_classic(ae)), args.output)
-        return EXIT_OK
-    if args.target == "from-absineq":
-        if not isinstance(system, AbsIneqSystem):
-            raise CliError("from-absineq expects an absineq system document")
-        from .charac import prop1_construct
-
-        ae = prop1_construct(system)
-        _spot_check(
-            lambda p: member_absineq(system, p).member,
-            lambda p: member_rohn(ae, p).member,
-            system.shape[1],
-            args.magnitude,
-        )
-        _emit(classic_document(ae_as_classic(ae)), args.output)
-        return EXIT_OK
-    raise CliError(f"unknown conversion target {args.target!r}")  # pragma: no cover
+    _emit(classic_document(ae_as_classic(ae)), args.output)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +473,7 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
     xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
     ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
     evaluator = AbsFormEvaluator(gen)
-    grid = [evaluator.member_many([PointVector((x1, y)) for y in ys]) for x1 in xs]
+    grid = [evaluator.member_many([(x1, y) for y in ys]) for x1 in xs]
     if args.format == "csv":
         lines = ["x1,x2,member"]
         for i in range(res):
@@ -517,11 +504,7 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
             f'<rect x="0" y="0" width="{res}" height="{res}" fill="#ffffff"/>\n'
         )
         payload = header + "\n".join(rects) + ("\n" if rects else "") + "</svg>\n"
-    if args.output is None:
-        sys.stdout.write(payload)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+    _write(payload, args.output)
     return EXIT_OK
 
 
@@ -580,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--system", required=True)
     p_conv.add_argument("--target", choices=("ae-flatten", "from-absineq"), required=True)
     p_conv.add_argument("--output", help="output path (stdout when omitted)")
-    p_conv.add_argument("--magnitude", type=int, default=8,
-                        help="magnitude of spot-check sample points")
     p_conv.set_defaults(func=cmd_convert)
 
     p_scan = sub.add_parser("scan2d", help="rasterize a 2-D solution set to CSV or SVG")

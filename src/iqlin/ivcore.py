@@ -197,6 +197,22 @@ class PointVector:
         return "(" + ", ".join(str(v) for v in self.entries) + ")"
 
 
+PointLike = Union[PointVector, Sequence[RationalLike]]
+
+
+def point_entries(x: PointLike, n: int) -> tuple:
+    """The coordinates of a point of Q^n as a tuple of Fractions.
+
+    A ``PointVector`` gives its own tuple; any other sequence goes
+    through ``rat`` entry by entry, so binary floats are refused.
+    Raises ValueError when the point does not have length n.
+    """
+    entries = x.entries if isinstance(x, PointVector) else tuple(map(rat, x))
+    if len(entries) != n:
+        raise ValueError(f"point has length {len(entries)}, system expects {n}")
+    return entries
+
+
 @dataclass(frozen=True)
 class IntervalVector:
     """A box in Q^m: one interval per component."""
@@ -213,10 +229,6 @@ class IntervalVector:
     @classmethod
     def zero(cls, m: int) -> "IntervalVector":
         return cls(_ZERO_INTERVAL for _ in range(m))
-
-    @classmethod
-    def of_points(cls, values: Iterable[RationalLike]) -> "IntervalVector":
-        return cls(Interval.point(v) for v in values)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -307,7 +319,7 @@ class IntervalMatrix:
         """Radius matrix as nested tuples of rationals (all entries >= 0)."""
         return tuple(tuple(e.rad() for e in row) for row in self.rows)
 
-    def __matmul__(self, x: PointVector) -> IntervalVector:
+    def __matmul__(self, x: Sequence[Rational]) -> IntervalVector:
         """Exact interval image of the point x under this matrix box.
 
         Row i is [c_i - s_i, c_i + s_i] with c = (mid A) x and
@@ -322,7 +334,7 @@ class IntervalMatrix:
         for row in self.rows:
             center = _ZERO
             spread = _ZERO
-            for e, xj in zip(row, x.entries):
+            for e, xj in zip(row, x):
                 center += e.mid() * xj
                 spread += e.rad() * abs(xj)
             out.append(Interval(center - spread, center + spread))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .ivcore import Interval, IntervalMatrix, IntervalVector, PointVector, Rational, rat
+from .ivcore import Interval, IntervalMatrix, IntervalVector, PointVector, Rational, point_entries, rat
 from .prefix import GeneralizedIQSystem, Quantifier
 
 _ZERO = rat(0)
@@ -84,13 +84,6 @@ class _Budget:
             raise NodeCapExceeded(f"leaf evaluation budget of {self.cap} exceeded")
 
 
-def _point(gen: GeneralizedIQSystem, x) -> PointVector:
-    pv = x if isinstance(x, PointVector) else PointVector(x)
-    if len(pv) != gen.shape[1]:
-        raise ValueError(f"point has length {len(pv)}, system expects {gen.shape[1]}")
-    return pv
-
-
 def _hull_term(coeff: Rational, box: Interval) -> Tuple[Rational, Rational]:
     a = coeff * box.lo
     b = coeff * box.hi
@@ -117,7 +110,7 @@ def vertex_oracle_k1(gen: GeneralizedIQSystem, x, max_forall: int = 20) -> Oracl
     """
     if gen.kappa != 1:
         raise ValueError("vertex oracle handles one-block systems only")
-    pv = _point(gen, x)
+    pv = point_entries(x, gen.shape[1])
     m, n = gen.shape
     af, ae, bf, be = gen.block(1)
     branch_count = sum(
@@ -182,7 +175,7 @@ class _Move:
     box: Interval
 
 
-def _row_game(gen: GeneralizedIQSystem, pv: PointVector, i: int) -> Tuple[Rational, List[_Move]]:
+def _row_game(gen: GeneralizedIQSystem, pv: tuple, i: int) -> Tuple[Rational, List[_Move]]:
     """Base residual and branching moves of row i, outermost move first.
 
     Moves whose contribution is forced (zero coefficient or a point
@@ -304,7 +297,7 @@ def game_oracle(gen: GeneralizedIQSystem, x, grid: int = 5, node_cap: int = 10 *
     """
     if grid < 2:
         raise ValueError("existential grid needs at least the two endpoints")
-    pv = _point(gen, x)
+    pv = point_entries(x, gen.shape[1])
     m = gen.shape[0]
     budget = _Budget(node_cap)
     rows = [_row_game(gen, pv, i) for i in range(m)]

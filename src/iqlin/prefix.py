@@ -198,9 +198,6 @@ class BlockBoundaries:
     kappa: int
     cuts: tuple
 
-    def block_sizes(self) -> tuple:
-        return tuple(self.cuts[s] - self.cuts[s - 1] for s in range(1, self.kappa + 1))
-
 
 def decompose_ae_blocks(prefix: QuantifierPrefix) -> BlockBoundaries:
     """Split a prefix into its chain of AE-blocks.

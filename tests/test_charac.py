@@ -17,8 +17,8 @@ from iqlin import (
     Quantifier,
     build_tuples,
     corollary1_construct,
+    game_oracle,
     member_absform,
-    member_absform_twosided,
     member_absineq,
     member_controllable,
     member_intervalform,
@@ -91,6 +91,19 @@ class TestWorkedOneDimensionalSets:
         assert member_united(imat([[(2, 4)]]), ivec([(6, 8)]), ["4"]).member
 
 
+# Every decision entry point that takes a point, as decide(gen, x), in
+# both charac and oracle; the evaluator decides a one-point batch.
+POINT_DECIDERS = (
+    member_intervalform,
+    member_absform,
+    lambda gen, x: member_shary_blocks(*gen.block(1), x),
+    lambda gen, x: member_rohn_blocks(*gen.block(1), x),
+    lambda gen, x: AbsFormEvaluator(gen).member_many([x]),
+    game_oracle,
+    vertex_oracle_k1,
+)
+
+
 class TestIntervalForm:
     def test_united_member(self):
         gen = united_gen((2, 4), (6, 8))
@@ -113,8 +126,43 @@ class TestIntervalForm:
         assert verdict.violated.index == 1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            member_intervalform(united_gen((2, 4), (6, 8)), ["1", "2"])
+        gen = united_gen((2, 4), (6, 8))
+        for decide in POINT_DECIDERS:
+            for bad in (["1", "2"], (Fraction(1), 2), ()):
+                with pytest.raises(ValueError):
+                    decide(gen, bad)
+
+
+class TestBareSequencePoints:
+    def test_same_verdicts_as_point_vector(self, rng):
+        from iqlin import InstanceSpec, random_instance
+        for k in range(40):
+            kappa = 1 + k % 2
+            spec = InstanceSpec(m=rng.randint(1, 2), n=rng.randint(1, 3), kappa=kappa,
+                                seed=rng.randint(0, 10 ** 9), zero_prob=0.4, magnitude=4)
+            gen = random_instance(spec)
+            evaluator = AbsFormEvaluator(gen)
+            points = [random_point(spec.n, rng, magnitude=3) for _ in range(2)]
+            points.append(pvec(*(rng.randint(-3, 3) for _ in range(spec.n))))
+            for pv in points:
+                bare = [tuple(pv), list(pv), [str(v) for v in pv]]
+                if all(v.denominator == 1 for v in pv):
+                    bare += [tuple(int(v) for v in pv), [int(v) for v in pv]]
+                assert evaluator.member_many(bare) == evaluator.member_many([pv] * len(bare))
+                want_abs = member_absform(gen, pv)
+                want_oracle = game_oracle(gen, pv, grid=3)
+                for x in bare:
+                    assert member_absform(gen, x) == want_abs
+                    assert game_oracle(gen, x, grid=3) == want_oracle
+                    if kappa == 1:
+                        assert member_shary_blocks(*gen.block(1), x) == member_shary_blocks(*gen.block(1), pv)
+
+    def test_float_coordinates_refused(self):
+        gen = united_gen((2, 4), (6, 8))
+        for decide in POINT_DECIDERS:
+            for bad in ([0.5], (Fraction(1, 2), 0.5)):
+                with pytest.raises(TypeError):
+                    decide(gen, bad)
 
 
 class TestAbsForm:
@@ -154,7 +202,7 @@ class TestAbsForm:
 
 
 class TestEquivalences:
-    def test_interval_equals_abs_equals_twosided(self, rng):
+    def test_interval_equals_abs(self, rng):
         from iqlin import InstanceSpec, random_instance
         for k in range(400):
             spec = InstanceSpec(
@@ -166,7 +214,6 @@ class TestEquivalences:
                 x = random_point(spec.n, rng)
                 a = member_absform(gen, x).member
                 assert member_intervalform(gen, x).member == a
-                assert member_absform_twosided(gen, x).member == a
 
     def test_k1_collapse_to_shary_and_rohn(self, rng):
         from iqlin import InstanceSpec, random_instance
@@ -444,7 +491,6 @@ class TestBatchEvaluator:
             ev = AbsFormEvaluator(gen)
             pts = [random_point(spec.n, rng) for _ in range(6)]
             assert ev.member_many(pts) == [member_absform(gen, p).member for p in pts]
-            assert [ev.member(p) for p in pts] == ev.member_many(pts)
 
     def test_overflow_falls_back_to_exact_path(self):
         gen = tolerable_gen((2, 4), (2, 8))

@@ -25,7 +25,7 @@ from iqlin.cli import (
     parse_system,
 )
 from iqlin.prefix import ClassicIQSystem, GeneralizedIQSystem
-from conftest import imat, ivec, outer_exists_system, random_classic
+from conftest import gen_1x1, imat, ivec, outer_exists_system, random_classic
 
 UNITED_DOC = {
     "format": "iqlin-system",
@@ -98,6 +98,21 @@ class TestDocumentFormat:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+    # JSON true is not the number 1: each place that reads a number rejects it.
+    @pytest.mark.parametrize("doc", [
+        {**UNITED_DOC, "A": [[[True, "2"]]]},
+        {**UNITED_DOC, "m": True},
+        {**UNITED_DOC, "n": True},
+        {**UNITED_DOC, "version": True},
+        {**generalized_document(gen_1x1(a_ex=(2, 4), b_ex=(6, 8))), "kappa": True},
+    ], ids=["scalar", "m", "n", "version", "kappa"])
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, doc):
+        path = write_doc(tmp_path, "bool.json", doc)
+        assert main(["check", "--system", path, "--point", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_ae_as_classic_round_trip(self):
         gen = outer_exists_system()

@@ -1,9 +1,9 @@
 """Differential tests: compiled integer closed forms against rational references.
 
-The reference implementations below evaluate both closed forms and the
-Prop. 2 flattening directly in rational arithmetic, entry by entry,
-from the interval data (``mid()``, ``rad()`` and interval matrix
-products).  Every compiled path must return the same verdict, including
+The reference implementations below evaluate both closed forms, the
+Prop. 2 flattening and Corollary 1 directly in rational arithmetic,
+entry by entry, from the interval data (``mid()``, ``rad()`` and
+interval matrix products).  Every compiled path must return the same verdict, including
 the first violated condition.
 """
 
@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,8 @@ from iqlin import (
     MembershipVerdict,
     PointVector,
     Violation,
+    corollary1_construct,
     member_absform,
-    member_absform_twosided,
     member_intervalform,
     prop1_construct,
     prop2_flatten,
@@ -148,6 +149,23 @@ def ref_prop2_flatten(gen):
     return prop1_construct(AbsIneqSystem(C, D, c, d))
 
 
+def ref_corollary1(a_fa, a_ex, b_fa, b_ex):
+    m, n = a_fa.shape
+    if a_ex.shape != (m, n) or len(b_fa) != m or len(b_ex) != m:
+        raise ValueError("pair system blocks must share one shape")
+    C = [
+        [a_fa.entry(i, j).mid() + a_ex.entry(i, j).mid() for j in range(n)]
+        for i in range(m)
+    ]
+    D = [
+        [a_ex.entry(i, j).rad() - a_fa.entry(i, j).rad() for j in range(n)]
+        for i in range(m)
+    ]
+    c = [b_fa[i].mid() + b_ex[i].mid() for i in range(m)]
+    d = [b_ex[i].rad() - b_fa[i].rad() for i in range(m)]
+    return prop1_construct(AbsIneqSystem(C, D, c, d))
+
+
 def draw_point(rng: random.Random, n: int) -> PointVector:
     """Coordinates mix zeros, small fractions and denominators above 2**61."""
     coords = []
@@ -169,7 +187,6 @@ def assert_all_paths_agree(gen, points: List[PointVector]) -> set:
         want_abs = ref_absform(gen, pv)
         want_interval = ref_intervalform(gen, pv)
         assert member_absform(gen, pv) == want_abs, (gen, pv)
-        assert member_absform_twosided(gen, pv) == want_abs, (gen, pv)
         assert member_intervalform(gen, pv) == want_interval, (gen, pv)
         assert want_abs.member == want_interval.member
         kinds.update(v.violated.kind for v in (want_abs, want_interval) if not v.member)
@@ -241,6 +258,25 @@ def test_prop2_flatten_matches_reference():
                             max_denominator=rng.choice([1, 4, 7]))
         gen = random_instance(spec)
         assert prop2_flatten(gen) == ref_prop2_flatten(gen)
+
+
+def test_corollary1_matches_reference():
+    rng = random.Random(1807)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for zero_prob in (0.0, 0.4, 1.0):
+                for max_denominator in (1, 4, 9) * 5:
+                    spec = InstanceSpec(m=m, n=n, kappa=1, seed=rng.randrange(2 ** 31),
+                                        zero_prob=zero_prob, max_denominator=max_denominator)
+                    blocks = random_instance(spec).block(1)
+                    assert corollary1_construct(*blocks) == ref_corollary1(*blocks)
+    a = imat([[(1, 2)]])
+    b = ivec([(0, 1)])
+    for bad in ((a, imat([[(1, 2), (0, 0)]]), b, b), (a, a, ivec([(0, 1), (0, 1)]), b)):
+        with pytest.raises(ValueError):
+            corollary1_construct(*bad)
+        with pytest.raises(ValueError):
+            ref_corollary1(*bad)
 
 
 def test_evaluator_coefficients_are_reduced():

@@ -6,12 +6,15 @@ each system the stored files under ``tests/golden/`` hold the ``gen``
 document, the stdout of ``check`` at the criterion's point, of
 ``decompose`` and of ``convert --target ae-flatten``; for the
 two-unknown systems also the ``scan2d`` CSV and SVG at
-``--bounds=-2,2,-2,2 --resolution 16``.  ``render_corpus`` produces
+``--bounds=-2,2,-2,2 --resolution 16``.  One absineq document and its
+``convert --target from-absineq`` output are stored beside them
+(``absineq.json``, ``absineq.from-absineq.json``).  ``render_corpus`` produces
 every one of them, so the files can be rewritten from it when an
 output change is intended.
 """
 
 import io
+import json
 import os
 import random
 from contextlib import redirect_stdout
@@ -25,6 +28,14 @@ from iqlin.oracle import random_point
 GOLDEN = Path(__file__).with_name("golden")
 CORPUS = ((1, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 2), (4, 2, 1, 2), (5, 1, 1, 3), (6, 2, 2, 2))
 SCAN = ["--bounds=-2,2,-2,2", "--resolution", "16"]
+# Both signs of D and d, and a zero entry, so both quantifiers and the tie appear.
+ABSINEQ = {
+    "format": "iqlin-system", "version": 1, "kind": "absineq",
+    "C": [["3", "-1/2"], ["0", "2"]],
+    "D": [["-1", "1/3"], ["0", "-2/5"]],
+    "c": ["5", "-1"],
+    "d": ["2", "-1/4"],
+}
 
 
 def _stdout(argv, codes=(EXIT_OK,)) -> bytes:
@@ -54,6 +65,11 @@ def render_corpus(workdir) -> dict:
         if n == 2:
             for fmt in ("csv", "svg"):
                 out[f"{name}.scan.{fmt}"] = _stdout(["scan2d", "--system", path, *SCAN, "--format", fmt])
+    path = os.path.join(str(workdir), "absineq.json")
+    out["absineq.json"] = doc = (json.dumps(ABSINEQ, indent=2) + "\n").encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(doc)
+    out["absineq.from-absineq.json"] = _stdout(["convert", "--system", path, "--target", "from-absineq"])
     return out
 
 
