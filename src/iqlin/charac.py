@@ -40,9 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, gt, mul, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +58,15 @@ from .ivcore import (
     rational_matrix,
     rational_vector,
 )
-from .prefix import GeneralizedIQSystem, Quantifier
+from .prefix import (
+    ClassicIQSystem,
+    GeneralizedIQSystem,
+    Quantifier,
+    QuantifierPrefix,
+    build_tuples,
+    matrix_param,
+    rhs_param,
+)
 
 _ZERO = rat(0)
 
@@ -156,28 +165,20 @@ def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVer
     return _MEMBER
 
 
-def _midrad_rows(gen: GeneralizedIQSystem, x: PointLike) -> Tuple[Optional[Violation], Iterable]:
-    """The first radius-order violation at x, else its (center, slack) row pairs.
+def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
+    """Membership via the midpoint-radius inequalities (absolute-value form).
 
-    Values are in units of 2 * denom * lx: center is the summed midpoint
-    row times x minus the summed rhs midpoints, slack the exists radius
-    sum minus the forall radius sum at |x|.
+    Row values are in units of 2 * denom * lx: center is the summed
+    midpoint row times x minus the summed rhs midpoints, slack the
+    exists radius sum minus the forall radius sum at |x|.
     """
     comp = gen.compiled
     aug = _cleared(x, comp.n)
     absx = list(map(abs, aug))
     for k, (lsum, rsum) in enumerate(zip(_row_dots(comp.left, absx), _row_dots(comp.right, absx))):
         if lsum > rsum:
-            return Violation(ConditionKind.RADIUS_ORDER, k // comp.m + 1), ()
-    return None, zip(_row_dots(comp.center, aug), _row_dots(comp.slack, absx))
-
-
-def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
-    """Membership via the midpoint-radius inequalities (absolute-value form)."""
-    bad, rows = _midrad_rows(gen, x)
-    if bad is not None:
-        return MembershipVerdict(False, bad)
-    for i, (center, slack) in enumerate(rows, start=1):
+            return MembershipVerdict(False, Violation(ConditionKind.RADIUS_ORDER, k // comp.m + 1))
+    for i, (center, slack) in enumerate(zip(_row_dots(comp.center, aug), _row_dots(comp.slack, absx)), start=1):
         if abs(center) > slack:
             return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i))
     return _MEMBER
@@ -283,24 +284,26 @@ class AESystem:
 
     def split(self) -> tuple:
         """(A_forall, A_exists, b_forall, b_exists) with zero points in the off slots."""
-        m, n = self.A.shape
-        zero = Interval.zero()
-        fa = [[zero] * n for _ in range(m)]
-        ex = [[zero] * n for _ in range(m)]
-        for i in range(m):
-            for j in range(n):
-                if self.alpha[i][j] is Quantifier.FORALL:
-                    fa[i][j] = self.A.entry(i, j)
-                else:
-                    ex[i][j] = self.A.entry(i, j)
-        bfa = [zero] * m
-        bex = [zero] * m
-        for i in range(m):
-            if self.beta[i] is Quantifier.FORALL:
-                bfa[i] = self.b[i]
-            else:
-                bex[i] = self.b[i]
-        return (IntervalMatrix(fa), IntervalMatrix(ex), IntervalVector(bfa), IntervalVector(bex))
+        return self._split
+
+    @cached_property
+    def _split(self) -> tuple:
+        # Universals bound outermost make one A*E* block, so block 1 is the whole split.
+        return build_tuples(ae_as_classic(self)).block(1)
+
+
+def ae_as_classic(ae: AESystem) -> ClassicIQSystem:
+    """An AE system as a classic document: universals outermost, row-major."""
+    m, n = ae.shape
+    bindings = []
+    for want in (Quantifier.FORALL, Quantifier.EXISTS):
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                if ae.alpha[i - 1][j - 1] is want:
+                    bindings.append((matrix_param(i, j), want))
+            if ae.beta[i - 1] is want:
+                bindings.append((rhs_param(i), want))
+    return ClassicIQSystem(ae.A, ae.b, QuantifierPrefix(m, n, bindings))
 
 
 def member_shary(ae: AESystem, x: PointLike) -> MembershipVerdict:

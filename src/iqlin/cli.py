@@ -17,11 +17,13 @@ generalized
 
 absineq
     ``{"kind": "absineq", "C", "D", "c", "d"}``, the inequality system
-    |Cx - c| <= D|x| + d with rational matrices and vectors.
+    |Cx - c| <= D|x| + d: C a nonempty m x n array of scalars with
+    n >= 1, D of the same shape, c and d arrays of m scalars.
 
-All scalars serialize as strings ("3/2", "-7", "0.25") and parse
-exactly; JSON number literals are also read exactly (decimal floats
-via Fraction, never through binary floating point).
+``version``, ``m``, ``n`` and ``kappa`` must be JSON integers (1.0 is
+rejected, like true).  All scalars serialize as strings ("3/2", "-7",
+"0.25") and parse exactly; JSON number literals are also read exactly
+(decimal floats via Fraction, never through binary floating point).
 
 Exit codes: 0 success / all points member; 1 some checked point is not
 a member; 2 usage, parse, or resource errors; 3 internal cross-check
@@ -41,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .charac import (
     AbsFormEvaluator,
     AbsIneqSystem,
-    AESystem,
+    ae_as_classic,
     member_absform,
     member_absineq,
     member_intervalform,
@@ -56,15 +58,11 @@ from .oracle import InstanceSpec, NodeCapExceeded, Outcome, game_oracle, random_
 from .prefix import (
     ClassicIQSystem,
     GeneralizedIQSystem,
-    Quantifier,
-    QuantifierPrefix,
     block_shapes,
     build_tuples,
     decompose_ae_blocks,
     format_prefix,
-    matrix_param,
     parse_prefix_text,
-    rhs_param,
     validate_disjoint,
 )
 
@@ -111,16 +109,23 @@ def _interval(value) -> Interval:
     return Interval(_scalar(value[0]), _scalar(value[1]))
 
 
-def _interval_matrix(value, m: int, n: int, label: str) -> IntervalMatrix:
+def _matrix(value, m: int, n: int, label: str, item=_interval) -> list:
+    """An m x n JSON array read entry by entry with ``item``."""
     if not (isinstance(value, list) and len(value) == m and all(isinstance(r, list) and len(r) == n for r in value)):
-        raise CliError(f"{label} must be an {m}x{n} array of intervals")
-    return IntervalMatrix([[_interval(e) for e in row] for row in value])
+        raise CliError(f"{label} must be an {m}x{n} array")
+    return [[item(e) for e in row] for row in value]
 
 
-def _interval_vector(value, m: int, label: str) -> IntervalVector:
+def _vector(value, m: int, label: str, item=_interval) -> list:
+    """An m-long JSON array read entry by entry with ``item``."""
     if not (isinstance(value, list) and len(value) == m):
-        raise CliError(f"{label} must be an array of {m} intervals")
-    return IntervalVector([_interval(e) for e in value])
+        raise CliError(f"{label} must be an array of length {m}")
+    return [item(e) for e in value]
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: not a boolean and not a decimal such as 1.0."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_system(doc) -> SystemLike:
@@ -128,13 +133,13 @@ def parse_system(doc) -> SystemLike:
         raise CliError("system document must be a JSON object")
     if doc.get("format") != FORMAT_NAME:
         raise CliError(f'system document must declare "format": "{FORMAT_NAME}"')
-    if isinstance(doc.get("version"), bool) or doc.get("version") != FORMAT_VERSION:
+    if not _is_int(doc.get("version")) or doc.get("version") != FORMAT_VERSION:
         raise CliError(f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
     if kind == "classic":
         m, n = _dims(doc)
-        A = _interval_matrix(doc.get("A"), m, n, "A")
-        b = _interval_vector(doc.get("b"), m, "b")
+        A = IntervalMatrix(_matrix(doc.get("A"), m, n, "A"))
+        b = IntervalVector(_vector(doc.get("b"), m, "b"))
         prefix_text = doc.get("prefix")
         if not isinstance(prefix_text, str):
             raise CliError("classic document needs a prefix string")
@@ -145,37 +150,35 @@ def parse_system(doc) -> SystemLike:
         kappa = doc.get("kappa")
         if not (isinstance(blocks, list) and blocks):
             raise CliError("generalized document needs a nonempty blocks array")
-        if isinstance(kappa, bool) or kappa != len(blocks):
+        if not _is_int(kappa) or kappa != len(blocks):
             raise CliError("kappa must equal the number of blocks")
         a_fa, a_ex, b_fa, b_ex = [], [], [], []
         for idx, blk in enumerate(blocks, start=1):
             if not isinstance(blk, dict):
                 raise CliError(f"block {idx} must be an object")
-            a_fa.append(_interval_matrix(blk.get("a_forall"), m, n, f"block {idx} a_forall"))
-            a_ex.append(_interval_matrix(blk.get("a_exists"), m, n, f"block {idx} a_exists"))
-            b_fa.append(_interval_vector(blk.get("b_forall"), m, f"block {idx} b_forall"))
-            b_ex.append(_interval_vector(blk.get("b_exists"), m, f"block {idx} b_exists"))
+            a_fa.append(IntervalMatrix(_matrix(blk.get("a_forall"), m, n, f"block {idx} a_forall")))
+            a_ex.append(IntervalMatrix(_matrix(blk.get("a_exists"), m, n, f"block {idx} a_exists")))
+            b_fa.append(IntervalVector(_vector(blk.get("b_forall"), m, f"block {idx} b_forall")))
+            b_ex.append(IntervalVector(_vector(blk.get("b_exists"), m, f"block {idx} b_exists")))
         return GeneralizedIQSystem(a_fa, a_ex, b_fa, b_ex)
     if kind == "absineq":
         C = doc.get("C")
-        if not (isinstance(C, list) and C and isinstance(C[0], list)):
-            raise CliError("absineq document needs a matrix C")
-        try:
-            return AbsIneqSystem(
-                [[_scalar(v) for v in row] for row in C],
-                [[_scalar(v) for v in row] for row in doc.get("D", [])],
-                [_scalar(v) for v in doc.get("c", [])],
-                [_scalar(v) for v in doc.get("d", [])],
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        if not (isinstance(C, list) and C and isinstance(C[0], list) and C[0]):
+            raise CliError("absineq document needs a nonempty matrix C")
+        m, n = len(C), len(C[0])
+        return AbsIneqSystem(
+            _matrix(C, m, n, "C", _scalar),
+            _matrix(doc.get("D"), m, n, "D", _scalar),
+            _vector(doc.get("c"), m, "c", _scalar),
+            _vector(doc.get("d"), m, "d", _scalar),
+        )
     raise CliError(f"unknown system kind {kind!r}")
 
 
 def _dims(doc) -> Tuple[int, int]:
     m = doc.get("m")
     n = doc.get("n")
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, n)):
+    if not all(_is_int(v) and v >= 1 for v in (m, n)):
         raise CliError("document needs positive integer dimensions m and n")
     return m, n
 
@@ -227,20 +230,6 @@ def generalized_document(gen: GeneralizedIQSystem) -> dict:
         "block_order": "innermost-first",
         "blocks": blocks,
     }
-
-
-def ae_as_classic(ae: AESystem) -> ClassicIQSystem:
-    """An AE system as a classic document: universals outermost, row-major."""
-    m, n = ae.shape
-    bindings = []
-    for want in (Quantifier.FORALL, Quantifier.EXISTS):
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if ae.alpha[i - 1][j - 1] is want:
-                    bindings.append((matrix_param(i, j), want))
-            if ae.beta[i - 1] is want:
-                bindings.append((rhs_param(i), want))
-    return ClassicIQSystem(ae.A, ae.b, QuantifierPrefix(m, n, bindings))
 
 
 def load_document(path: str) -> dict:

@@ -115,10 +115,6 @@ class Interval:
             return Interval(k * self.lo, k * self.hi)
         return Interval(k * self.hi, k * self.lo)
 
-    def shift(self, offset: RationalLike) -> "Interval":
-        t = rat(offset)
-        return Interval(self.lo + t, self.hi + t)
-
     def contains(self, value: RationalLike) -> bool:
         v = rat(value)
         return self.lo <= v <= self.hi
@@ -247,22 +243,6 @@ class IntervalVector:
         self._check_len(other)
         return IntervalVector(a - b for a, b in zip(self.entries, other.entries))
 
-    def __neg__(self) -> "IntervalVector":
-        return IntervalVector(-a for a in self.entries)
-
-    def mid(self) -> PointVector:
-        return PointVector(a.mid() for a in self.entries)
-
-    def rad(self) -> PointVector:
-        return PointVector(a.rad() for a in self.entries)
-
-    def wid(self) -> PointVector:
-        return PointVector(a.wid() for a in self.entries)
-
-    def subset_of(self, other: "IntervalVector") -> bool:
-        self._check_len(other)
-        return all(a.subset_of(b) for a, b in zip(self.entries, other.entries))
-
     def _check_len(self, other: "IntervalVector") -> None:
         if len(self.entries) != len(other.entries):
             raise ValueError(f"vector length mismatch: {len(self.entries)} vs {len(other.entries)}")
@@ -310,14 +290,6 @@ class IntervalMatrix:
         return IntervalMatrix(
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         )
-
-    def mid(self) -> tuple:
-        """Midpoint matrix as nested tuples of rationals."""
-        return tuple(tuple(e.mid() for e in row) for row in self.rows)
-
-    def rad(self) -> tuple:
-        """Radius matrix as nested tuples of rationals (all entries >= 0)."""
-        return tuple(tuple(e.rad() for e in row) for row in self.rows)
 
     def __matmul__(self, x: Sequence[Rational]) -> IntervalVector:
         """Exact interval image of the point x under this matrix box.

@@ -118,13 +118,11 @@ class QuantifierPrefix:
             if p in seen:
                 raise ValueError(f"duplicate parameter {p} in prefix")
             seen.add(p)
-        expected = m * (n + 1)
-        if len(packed) != expected:
-            missing = _all_params(m, n) - seen
-            if missing:
-                shown = ", ".join(p.text() for p in sorted(missing, key=lambda r: r.tuple_position(n))[:4])
-                raise ValueError(f"prefix must bind every parameter; unbound: {shown}")
-            raise ValueError(f"prefix length {len(packed)} != m(n+1) = {expected}")
+        # Distinct in-range parameters miss one exactly when they are too few.
+        if len(packed) != m * (n + 1):
+            missing = sorted(_all_params(m, n) - seen, key=lambda r: r.tuple_position(n))
+            shown = ", ".join(p.text() for p in missing[:4])
+            raise ValueError(f"prefix must bind every parameter; unbound: {shown}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bindings", packed)
@@ -137,11 +135,8 @@ class QuantifierPrefix:
         """The quantifier letters outermost to innermost, e.g. "EEAEAA"."""
         return "".join(q.value for _, q in self.bindings)
 
-    def text(self) -> str:
-        return format_prefix(self)
-
     def __str__(self) -> str:
-        return self.text()
+        return format_prefix(self)
 
 
 def _all_params(m: int, n: int) -> set:

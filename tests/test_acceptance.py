@@ -10,6 +10,7 @@ outcome itself is the pass/fail signal.  Run with::
 import os
 import random
 import time
+from pathlib import Path
 
 from iqlin import (
     AbsFormEvaluator,
@@ -358,14 +359,14 @@ def test_criterion_9_cli_golden_behavior(tmp_path):
             out = str(tmp_path / f"{os.path.basename(path)}.{run}.svg")
             assert main(["scan2d", "--system", path, "--bounds=-2,2,-2,2",
                          "--resolution", "16", "--format", "svg", "--output", out]) == EXIT_OK
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
         csvs = []
         for run in range(2):
             out = str(tmp_path / f"{os.path.basename(path)}.{run}.csv")
             assert main(["scan2d", "--system", path, "--bounds=-2,2,-2,2",
                          "--resolution", "16", "--format", "csv", "--output", out]) == EXIT_OK
-            csvs.append(open(out, "rb").read())
+            csvs.append(Path(out).read_bytes())
         assert csvs[0] == csvs[1]
 
     import io

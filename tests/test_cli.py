@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -99,17 +100,44 @@ class TestDocumentFormat:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
-    # JSON true is not the number 1: each place that reads a number rejects it.
+    # JSON true is not the number 1, and neither is 1.0 where an integer is
+    # required: each place that reads a number rejects them.
     @pytest.mark.parametrize("doc", [
         {**UNITED_DOC, "A": [[[True, "2"]]]},
         {**UNITED_DOC, "m": True},
         {**UNITED_DOC, "n": True},
         {**UNITED_DOC, "version": True},
         {**generalized_document(gen_1x1(a_ex=(2, 4), b_ex=(6, 8))), "kappa": True},
-    ], ids=["scalar", "m", "n", "version", "kappa"])
+        {**UNITED_DOC, "version": 1.0},
+        {**generalized_document(gen_1x1(a_ex=(2, 4), b_ex=(6, 8))), "kappa": 1.0},
+    ], ids=["scalar", "m", "n", "version", "kappa", "version-decimal", "kappa-decimal"])
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, doc):
         path = write_doc(tmp_path, "bool.json", doc)
         assert main(["check", "--system", path, "--point", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    # Each absineq array is shape-checked before it is read.
+    @pytest.mark.parametrize("fields", [
+        {"c": 5},
+        {"D": [5]},
+        {"C": [["1"], 5]},
+        {"C": [[]]},
+        {"C": [["1"], ["1", "2"]]},
+        {"D": [["0", "0"]]},
+        {"d": ["1", "1"]},
+    ], ids=["c-scalar", "D-flat", "C-ragged", "C-empty-row", "C-uneven", "D-shape", "d-length"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--point", "1"],
+        ["decompose"],
+        ["convert", "--target", "from-absineq"],
+    ], ids=["check", "decompose", "convert"])
+    def test_malformed_absineq_arrays(self, tmp_path, capsys, fields, command):
+        doc = {"format": "iqlin-system", "version": 1, "kind": "absineq",
+               "C": [["1"]], "D": [["0"]], "c": ["5"], "d": ["1"], **fields}
+        path = write_doc(tmp_path, "absineq.json", doc)
+        assert main([command[0], "--system", path, *command[1:]]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -305,7 +333,7 @@ class TestScan2d:
             with mock.patch.dict(os.environ, {"IQLIN_THREADS": threads}):
                 assert main(["scan2d", "--system", path, "--bounds=-1,1,-1,1",
                              "--resolution", "9", "--format", "svg", "--output", out]) == EXIT_OK
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
         assert b"<svg" in outputs[0]
 
@@ -353,7 +381,7 @@ class TestGen:
         for out in (a, b):
             assert main(["gen", "--seed", "1", "--m", "2", "--n", "2",
                          "--kappa", "2", "--output", out]) == EXIT_OK
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_generated_document_parses(self, tmp_path):
         out = str(tmp_path / "g.json")
