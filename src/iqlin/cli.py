@@ -23,7 +23,9 @@ absineq
 ``version``, ``m``, ``n`` and ``kappa`` must be JSON integers (1.0 is
 rejected, like true).  All scalars serialize as strings ("3/2", "-7",
 "0.25") and parse exactly; JSON number literals are also read exactly
-(decimal floats via Fraction, never through binary floating point).
+(decimal literals through ``rat``, never through binary floating point).
+A decimal exponent above Python's int string limit (4300 by default)
+is refused.
 
 Exit codes: 0 success / all points member; 1 some checked point is not
 a member; 2 usage, parse, or resource errors; 3 internal cross-check
@@ -73,6 +75,13 @@ EXIT_OK = 0
 EXIT_NOT_MEMBER = 1
 EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
+
+# The largest grid side scan2d accepts; its output has resolution**2 cells.
+MAX_SCAN_RESOLUTION = 2000
+# The most existential grid points per parameter check's oracle accepts.
+MAX_ORACLE_GRID = 10 ** 4
+# The most interval slots, 2*kappa*m*(n+1), gen writes.
+MAX_GEN_SLOTS = 10 ** 6
 
 SystemLike = Union[ClassicIQSystem, GeneralizedIQSystem, AbsIneqSystem]
 
@@ -235,7 +244,7 @@ def generalized_document(gen: GeneralizedIQSystem) -> dict:
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=Fraction)
+            return json.load(handle, parse_float=rat)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -321,8 +330,8 @@ def _run_method(method: str, gen: GeneralizedIQSystem, point: PointVector,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise CliError("--grid must be at least 2 (the two interval endpoints)")
+    if not 2 <= args.grid <= MAX_ORACLE_GRID:
+        raise CliError(f"--grid must be between 2 (the two interval endpoints) and {MAX_ORACLE_GRID}")
     if args.node_cap < 1:
         raise CliError("--node-cap must be at least 1")
     system = load_system(args.system)
@@ -440,9 +449,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
 # scan2d
 # ---------------------------------------------------------------------------
 
-# The largest grid side scan2d accepts; its output has resolution**2 cells.
-MAX_SCAN_RESOLUTION = 2000
-
 
 def cmd_scan2d(args: argparse.Namespace) -> int:
     res = args.resolution
@@ -515,6 +521,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    slots = 2 * spec.kappa * spec.m * (spec.n + 1)
+    if slots > MAX_GEN_SLOTS:
+        raise CliError(f"--m, --n and --kappa give {slots} interval slots, above the cap of {MAX_GEN_SLOTS}")
     _emit(generalized_document(random_instance(spec)), args.output)
     return EXIT_OK
 
@@ -539,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--points", help="JSON file with a list of points")
     p_check.add_argument("--method", choices=_METHODS, default="all")
     p_check.add_argument("--grid", type=int, default=5,
-                         help="existential grid points per parameter for the oracle")
+                         help=f"existential grid points per parameter for the oracle, 2 to {MAX_ORACLE_GRID}")
     p_check.add_argument("--node-cap", type=int, default=10 ** 6,
                          help="oracle leaf-evaluation budget")
     p_check.set_defaults(func=cmd_check)

@@ -18,6 +18,8 @@ cross-check by vertex enumeration lives in the oracle module.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -28,6 +30,7 @@ RationalLike = Union[int, str, Fraction]
 
 _ZERO = Rational(0)
 _TWO = Rational(2)
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
 def rat(value: RationalLike) -> Rational:
@@ -38,6 +41,8 @@ def rat(value: RationalLike) -> Rational:
     "-7") or decimal literals ("0.25"), both parsed exactly; binary
     floats are rejected to keep the library free of rounding
     contamination.  The result is always a Fraction of Python ints.
+    A decimal exponent above ``sys.get_int_max_str_digits()`` is refused:
+    building 10**exponent takes time superlinear in the exponent.
     """
     if type(value) is Fraction:
         return value
@@ -46,6 +51,11 @@ def rat(value: RationalLike) -> Rational:
             "refusing to build a rational from a binary float; "
             "pass an int, a Fraction, or a string literal like '3/2' or '0.25'"
         )
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise ValueError(f"decimal exponent of {value!r} exceeds {limit} in magnitude")
     if isinstance(value, (str, int)):
         return Fraction(value)
     numerator = getattr(value, "numerator", None)

@@ -35,15 +35,23 @@ remaining universal moves, and the leaf asks for interval feasibility.
 Losing even that relaxed game certifies non-membership.  For one-block
 systems the relaxed game is exact (all existential moves come after
 all universal ones), so the verdict is never Unknown there.
+
+Both passes search each row's *contributions* coeff * v (the vertices
+of a universal move, the grid values of an existential one) rather
+than the values v, and hold a deferred existential as its range of
+contributions: v -> coeff * v is a bijection, so windows intersect
+there without dividing by coeff.  Each row is scaled by one positive
+common denominator, so the search is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .ivcore import Interval, IntervalMatrix, IntervalVector, PointVector, Rational, point_entries, rat
 from .prefix import GeneralizedIQSystem, Quantifier
@@ -168,22 +176,23 @@ def vertex_oracle_k1(gen: GeneralizedIQSystem, x, max_forall: int = 20) -> Oracl
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Move:
+class _Move(NamedTuple):
     quant: Quantifier
-    coeff: Rational
-    box: Interval
+    contribs: List[int]
 
 
-def _row_game(gen: GeneralizedIQSystem, pv: tuple, i: int) -> Tuple[Rational, List[_Move]]:
+def _row_game(gen: GeneralizedIQSystem, pv: tuple, i: int, grid: int) -> Tuple[int, List[_Move]]:
     """Base residual and branching moves of row i, outermost move first.
 
     Moves whose contribution is forced (zero coefficient or a point
     box) fold into the base residual; this is exact for both players.
+    A move lists coeff * v for v ascending over its box's vertices
+    (universal) or ``grid`` uniform points (existential), all of the
+    row scaled to ints by the lcm of its denominators.
     """
     n = gen.shape[1]
     base = _ZERO
-    moves: List[_Move] = []
+    moves: List[Tuple[Quantifier, List[Rational]]] = []
 
     def add(quant: Quantifier, coeff: Rational, box: Interval) -> None:
         nonlocal base
@@ -192,7 +201,9 @@ def _row_game(gen: GeneralizedIQSystem, pv: tuple, i: int) -> Tuple[Rational, Li
         if box.is_point():
             base += coeff * box.lo
         else:
-            moves.append(_Move(quant, coeff, box))
+            points = 2 if quant is Quantifier.FORALL else grid
+            step = box.wid() / (points - 1)
+            moves.append((quant, [coeff * (box.lo + step * k) for k in range(points)]))
 
     for s in range(gen.kappa, 0, -1):
         af, ae, bf, be = gen.block(s)
@@ -202,89 +213,58 @@ def _row_game(gen: GeneralizedIQSystem, pv: tuple, i: int) -> Tuple[Rational, Li
         for j in range(n):
             add(Quantifier.EXISTS, pv[j], ae.entry(i, j))
         add(Quantifier.EXISTS, _MINUS_ONE, be[i])
-    return base, moves
+    scale = math.lcm(base.denominator, *(v.denominator for _, vs in moves for v in vs))
+    return (int(base * scale),
+            [_Move(quant, [int(v * scale) for v in vs]) for quant, vs in moves])
 
 
-def _grid(box: Interval, points: int) -> List[Rational]:
-    """Uniform grid on the box including both endpoints."""
-    step = box.wid() / (points - 1)
-    return [box.lo + step * k for k in range(points)]
-
-
-def _gridded_row_win(moves: List[_Move], idx: int, acc: Rational, grid: int, budget: _Budget) -> bool:
+def _gridded_row_win(moves: List[_Move], idx: int, acc: int, budget: _Budget) -> bool:
     if idx == len(moves):
         budget.spend()
-        return acc == _ZERO
-    move = moves[idx]
-    if move.quant is Quantifier.FORALL:
-        for v in (move.box.lo, move.box.hi):
-            if not _gridded_row_win(moves, idx + 1, acc + move.coeff * v, grid, budget):
-                return False
-        return True
-    for v in _grid(move.box, grid):
-        if _gridded_row_win(moves, idx + 1, acc + move.coeff * v, grid, budget):
-            return True
-    return False
+        return acc == 0
+    quant, contribs = moves[idx]
+    branch = all if quant is Quantifier.FORALL else any
+    return branch(_gridded_row_win(moves, idx + 1, acc + c, budget) for c in contribs)
 
 
-def _relaxed_row_survives(moves: List[_Move], idx: int, acc: Rational,
-                          boxes: List[Optional[Interval]], budget: _Budget) -> bool:
+def _relaxed_row_survives(moves: List[_Move], idx: int, acc: int,
+                          ranges: list, budget: _Budget) -> bool:
     """Refutation pass: universal vertices against deferred existentials.
 
-    ``boxes`` holds the current (possibly narrowed) interval of every
-    existential move.  Returns False only when no committed existential
-    choices could have survived, so a False here refutes membership.
+    ``ranges`` holds each existential move's current (lo, hi) range of
+    contributions coeff * v (None for universal moves); narrowing it
+    narrows the values v, with no division or sign case.  Returns False
+    only when no committed existential choices could have survived, so
+    a False here refutes membership.
     """
     if idx == len(moves):
         budget.spend()
-        lo = acc
-        hi = acc
-        for move, box in zip(moves, boxes):
-            if move.quant is Quantifier.EXISTS:
-                a, b = _hull_term(move.coeff, box)
-                lo += a
-                hi += b
-        return lo <= _ZERO <= hi
-    move = moves[idx]
-    if move.quant is Quantifier.FORALL:
-        for v in (move.box.lo, move.box.hi):
-            if not _relaxed_row_survives(moves, idx + 1, acc + move.coeff * v, boxes, budget):
-                return False
-        return True
+        held = [r for r in ranges if r is not None]
+        return acc + sum(lo for lo, _ in held) <= 0 <= acc + sum(hi for _, hi in held)
+    quant, contribs = moves[idx]
+    if quant is Quantifier.FORALL:
+        return all(_relaxed_row_survives(moves, idx + 1, acc + c, ranges, budget) for c in contribs)
     # Existential step: intersect, over every vertex assignment of the
-    # remaining universal moves, the interval of single values that keep
-    # this row feasible (other existentials relaxed to their boxes).
-    hull_lo = _ZERO
-    hull_hi = _ZERO
-    for t, (other, box) in enumerate(zip(moves, boxes)):
-        if t != idx and other.quant is Quantifier.EXISTS:
-            a, b = _hull_term(other.coeff, box)
-            hull_lo += a
-            hull_hi += b
-    tail_forall = [moves[t] for t in range(idx + 1, len(moves)) if moves[t].quant is Quantifier.FORALL]
-    feasible: Optional[Interval] = boxes[idx]
-    k = move.coeff
-    for choice in itertools.product(*[(mv.box.lo, mv.box.hi) for mv in tail_forall]):
+    # remaining universal moves, the range of single contributions that
+    # keep this row feasible (other existentials relaxed to their ranges).
+    others = [r for t, r in enumerate(ranges) if r is not None and t != idx]
+    hull_lo = sum(lo for lo, _ in others)
+    hull_hi = sum(hi for _, hi in others)
+    tail_forall = [mv.contribs for mv in moves[idx + 1:] if mv.quant is Quantifier.FORALL]
+    lo, hi = prev = ranges[idx]
+    for choice in itertools.product(*tail_forall):
         budget.spend()
-        c = acc
-        for mv, v in zip(tail_forall, choice):
-            c += mv.coeff * v
-        # Need k*v in [-c - hull_hi, -c - hull_lo].
-        lo = -c - hull_hi
-        hi = -c - hull_lo
-        if k > _ZERO:
-            window = Interval(lo / k, hi / k)
-        else:
-            window = Interval(hi / k, lo / k)
-        feasible = feasible.intersect(window)
-        if feasible is None:
+        c = acc + sum(choice)
+        # Need the contribution in [-c - hull_hi, -c - hull_lo].
+        lo = max(lo, -c - hull_hi)
+        hi = min(hi, -c - hull_lo)
+        if lo > hi:
             return False
-    prev = boxes[idx]
-    boxes[idx] = feasible
+    ranges[idx] = (lo, hi)
     try:
-        return _relaxed_row_survives(moves, idx + 1, acc, boxes, budget)
+        return _relaxed_row_survives(moves, idx + 1, acc, ranges, budget)
     finally:
-        boxes[idx] = prev
+        ranges[idx] = prev
 
 
 def game_oracle(gen: GeneralizedIQSystem, x, grid: int = 5, node_cap: int = 10 ** 6) -> OracleVerdict:
@@ -300,28 +280,21 @@ def game_oracle(gen: GeneralizedIQSystem, x, grid: int = 5, node_cap: int = 10 *
     pv = point_entries(x, gen.shape[1])
     m = gen.shape[0]
     budget = _Budget(node_cap)
-    rows = [_row_game(gen, pv, i) for i in range(m)]
-
-    refuted = False
-    for base, moves in rows:
-        boxes: List[Optional[Interval]] = [mv.box if mv.quant is Quantifier.EXISTS else None for mv in moves]
-        if not _relaxed_row_survives(moves, 0, base, boxes, budget):
-            refuted = True
-            break
-    if refuted:
-        return OracleVerdict(Outcome.NOT_MEMBER_CERTIFIED, budget.spent)
+    # The refutation pass reads only range ends: build it with grid 2.
+    for i in range(m):
+        base, moves = _row_game(gen, pv, i, 2)
+        ranges = [None if mv.quant is Quantifier.FORALL else (min(mv.contribs), max(mv.contribs))
+                  for mv in moves]
+        if not _relaxed_row_survives(moves, 0, base, ranges, budget):
+            return OracleVerdict(Outcome.NOT_MEMBER_CERTIFIED, budget.spent)
     if gen.kappa == 1:
         # One-block deferral is exact, so surviving it already certifies.
         return OracleVerdict(Outcome.MEMBER_CERTIFIED, budget.spent)
-
-    won = True
-    for base, moves in rows:
-        if not _gridded_row_win(moves, 0, base, grid, budget):
-            won = False
-            break
-    if won:
-        return OracleVerdict(Outcome.MEMBER_CERTIFIED, budget.spent)
-    return OracleVerdict(Outcome.UNKNOWN, budget.spent)
+    for i in range(m):
+        base, moves = _row_game(gen, pv, i, grid)
+        if not _gridded_row_win(moves, 0, base, budget):
+            return OracleVerdict(Outcome.UNKNOWN, budget.spent)
+    return OracleVerdict(Outcome.MEMBER_CERTIFIED, budget.spent)
 
 
 # ---------------------------------------------------------------------------

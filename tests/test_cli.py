@@ -17,6 +17,7 @@ from iqlin.cli import (
     EXIT_NOT_MEMBER,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_ORACLE_GRID,
     MAX_SCAN_RESOLUTION,
     ae_as_classic,
     classic_document,
@@ -142,6 +143,19 @@ class TestDocumentFormat:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    # An exponent past Python's 4300-digit int limit is refused before the
+    # power of ten is built, whether it is a string or a JSON number.
+    @pytest.mark.parametrize("literal", ['"1e5000"', "1e5000", '"0e5000"', "-1E-5000"],
+                             ids=["string", "number", "zero-string", "negative-number"])
+    def test_huge_exponent_literal_is_usage_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**UNITED_DOC, "b": [["@", "@"]]}).replace('"@"', literal))
+        assert main(["check", "--system", str(path), "--point", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "exponent" in captured.err
+
     def test_ae_as_classic_round_trip(self):
         gen = outer_exists_system()
         ae = prop2_flatten(gen)
@@ -181,7 +195,8 @@ class TestCheck:
         assert "oracle" in out
 
     def test_invalid_arguments_rejected_before_any_output(self, united_path, capsys):
-        for extra in (["--grid", "1"], ["--node-cap", "0"], ["--point", "1/0"]):
+        for extra in (["--grid", "1"], ["--grid", str(MAX_ORACLE_GRID + 1)], ["--node-cap", "0"],
+                      ["--point", "1/0"]):
             assert main(["check", "--system", united_path, "--point", "3/2", *extra]) == EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -399,6 +414,14 @@ class TestGen:
 
     def test_invalid_spec(self, tmp_path):
         assert main(["gen", "--m", "0", "--output", str(tmp_path / "x.json")]) == EXIT_USAGE
+
+    def test_size_cap(self, tmp_path, capsys):
+        # 2*kappa*m*(n+1) slots: 1,045,200 and 2*10^12 are both past 10^6.
+        for dims in (["--m", "200", "--n", "200", "--kappa", "13"], ["--m", "10000", "--n", "10000"]):
+            assert main(["gen", *dims]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_import_loads_no_process_pool():

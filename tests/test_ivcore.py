@@ -1,5 +1,6 @@
 """Interval scalar/vector/matrix arithmetic and its exactness guarantees."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,14 @@ class TestScalars:
         assert rat("3/2") == Fraction(3, 2)
         assert rat("0.25") == Fraction(1, 4)
         assert rat("-7") == -7
+
+    def test_exponent_capped_at_int_string_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert rat(f"1e{limit}") == 10 ** limit
+        assert rat(f" 25E-{limit} ") == Fraction(25, 10 ** limit)
+        for text in (f"1e{limit + 1}", f"0e{limit + 1}", f"1.5E-{limit + 1}", "1e10000000"):
+            with pytest.raises(ValueError, match="exponent"):
+                rat(text)
 
     def test_numpy_scalars(self):
         value = rat(np.int64(-5))

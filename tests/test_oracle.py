@@ -1,7 +1,11 @@
 """Game-search oracles against the closed forms, plus instance generation."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import iqlin.oracle
 from iqlin import (
     GeneralizedIQSystem,
     InstanceSpec,
@@ -179,3 +183,24 @@ class TestRandomInstances:
             InstanceSpec(m=0, n=1, kappa=1)
         with pytest.raises(ValueError):
             InstanceSpec(m=1, n=1, kappa=1, zero_prob=1.5)
+
+
+class TestIndependence:
+    def test_oracle_reads_no_closed_form_code(self):
+        # The oracles cross-check the closed forms, so they may share the
+        # interval types and the prefix but none of the compiled rows.
+        tree = ast.parse(Path(iqlin.oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module is None:
+                    imported.update(alias.name for alias in node.names)
+                else:
+                    imported.add(node.module.split(".")[0])
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "iqlin":
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names if a.name.split(".")[0] == "iqlin")
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "compiled", f"line {node.lineno} reads .compiled"
+        assert imported == {"ivcore", "prefix"}
