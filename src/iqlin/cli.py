@@ -30,6 +30,8 @@ is refused.
 Exit codes: 0 success / all points member; 1 some checked point is not
 a member; 2 usage, parse, or resource errors; 3 internal cross-check
 failure (methods disagreed, or a conversion failed its spot check).
+Each command builds its whole output before ``main`` writes it, so on
+exit 2 stdout is empty and no ``--output`` file is written.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ MAX_SCAN_RESOLUTION = 2000
 MAX_ORACLE_GRID = 10 ** 4
 # The most interval slots, 2*kappa*m*(n+1), gen writes.
 MAX_GEN_SLOTS = 10 ** 6
+# The largest oracle leaf-evaluation budget check accepts (about 30 s).
+MAX_NODE_CAP = 10 ** 8
 
 SystemLike = Union[ClassicIQSystem, GeneralizedIQSystem, AbsIneqSystem]
 
@@ -249,22 +253,17 @@ def load_document(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path} is nested too deeply") from exc
 
 
 def load_system(path: str) -> SystemLike:
     return parse_system(load_document(path))
 
 
-def _emit(doc: dict, output: Optional[str]) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", output)
-
-
-def _write(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _lines(lines: List[str]) -> str:
+    """The lines, each ending in a newline."""
+    return "\n".join(lines + [""])
 
 
 def as_generalized(system: SystemLike) -> GeneralizedIQSystem:
@@ -329,11 +328,11 @@ def _run_method(method: str, gen: GeneralizedIQSystem, point: PointVector,
     return (f"not-member [{verdict.violated}]", False)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Tuple[int, str]:
     if not 2 <= args.grid <= MAX_ORACLE_GRID:
         raise CliError(f"--grid must be between 2 (the two interval endpoints) and {MAX_ORACLE_GRID}")
-    if args.node_cap < 1:
-        raise CliError("--node-cap must be at least 1")
+    if not 1 <= args.node_cap <= MAX_NODE_CAP:
+        raise CliError(f"--node-cap must be between 1 and {MAX_NODE_CAP}")
     system = load_system(args.system)
     gen = as_generalized(system)
     n = gen.shape[1]
@@ -347,13 +346,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     methods = list(_METHODS[:-1]) if args.method == "all" else [args.method]
     if args.method == "all" and gen.kappa != 1:
         methods = [m for m in methods if m not in ("shary", "rohn")]
+    lines = []
     all_member = True
     for idx, point in enumerate(points, start=1):
-        print(f"point {idx}: {point}")
+        lines.append(f"point {idx}: {point}")
         booleans = {}
         for method in methods:
             text, flag = _run_method(method, gen, point, args.grid, args.node_cap)
-            print(f"  {method:<9} {text}")
+            lines.append(f"  {method:<9} {text}")
             if flag is not None:
                 booleans[method] = flag
         verdicts = set(booleans.values())
@@ -365,13 +365,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "verdicts": {k: v for k, v in sorted(booleans.items())},
             }
             sys.stderr.write(json.dumps(dump, indent=2) + "\n")
-            return EXIT_CROSS_CHECK
+            return EXIT_CROSS_CHECK, _lines(lines)
         if args.method == "all":
-            print(f"  agreement ok ({len(booleans)} methods)")
+            lines.append(f"  agreement ok ({len(booleans)} methods)")
         # An unknown-only answer (oracle mode) cannot certify membership.
         if not verdicts or not verdicts.pop():
             all_member = False
-    return EXIT_OK if all_member else EXIT_NOT_MEMBER
+    return (EXIT_OK if all_member else EXIT_NOT_MEMBER), _lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -379,40 +379,30 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_tuples(gen: GeneralizedIQSystem) -> None:
-    for s in range(1, gen.kappa + 1):
-        af, ae, bf, be = gen.block(s)
-        suffix = " (innermost)" if s == 1 else (" (outermost)" if s == gen.kappa else "")
-        print(f"block {s}{suffix}:")
-        print(f"  A' = {af}")
-        print(f"  A'' = {ae}")
-        print(f"  b' = {bf}")
-        print(f"  b'' = {be}")
+def _block_label(s: int, kappa: int) -> str:
+    return f"block {s}" + (" (innermost)" if s == 1 else (" (outermost)" if s == kappa else ""))
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> Tuple[int, str]:
     system = load_system(args.system)
-    if isinstance(system, AbsIneqSystem):
-        raise CliError("decompose expects a classic or generalized system document")
+    gen = as_generalized(system)
     if isinstance(system, ClassicIQSystem):
         boundaries = decompose_ae_blocks(system.prefix)
-        shapes = block_shapes(system.prefix, boundaries)
-        print(f"prefix: {format_prefix(system.prefix)}")
-        print(f"kappa: {boundaries.kappa}")
-        for s, shape in enumerate(shapes, start=1):
-            suffix = " (innermost)" if s == 1 else (" (outermost)" if s == boundaries.kappa else "")
-            print(f"block {s}{suffix}: shape {shape}")
-        gen = build_tuples(system)
-        _print_tuples(gen)
+        lines = [f"prefix: {format_prefix(system.prefix)}", f"kappa: {boundaries.kappa}"]
+        for s, shape in enumerate(block_shapes(system.prefix, boundaries), start=1):
+            lines.append(f"{_block_label(s, boundaries.kappa)}: shape {shape}")
         report = validate_disjoint(gen, system.A, system.b)
-        print(f"sums reproduce A,b: {'ok' if report.ok else f'FAILED ({report})'}")
-        return EXIT_OK if report.ok else EXIT_CROSS_CHECK
-    gen = system
-    print(f"kappa: {gen.kappa}")
-    _print_tuples(gen)
-    report = validate_disjoint(gen, gen.summed_a(), gen.summed_b())
-    print(f"tuples are disjoint: {'yes' if report.ok else f'no ({report})'}")
-    return EXIT_OK
+        verdict = f"sums reproduce A,b: {'ok' if report.ok else f'FAILED ({report})'}"
+        code = EXIT_OK if report.ok else EXIT_CROSS_CHECK
+    else:
+        lines = [f"kappa: {gen.kappa}"]
+        report = validate_disjoint(gen, gen.summed_a(), gen.summed_b())
+        verdict = f"tuples are disjoint: {'yes' if report.ok else f'no ({report})'}"
+        code = EXIT_OK
+    for s in range(1, gen.kappa + 1):
+        af, ae, bf, be = gen.block(s)
+        lines += [f"{_block_label(s, gen.kappa)}:", f"  A' = {af}", f"  A'' = {ae}", f"  b' = {bf}", f"  b'' = {be}"]
+    return code, _lines(lines + [verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +410,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace) -> Tuple[int, str]:
     system = load_system(args.system)
     if args.target == "ae-flatten":
         gen = as_generalized(system)
@@ -441,8 +431,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 f"conversion spot check failed at {point}; refusing to write output",
                 code=EXIT_CROSS_CHECK,
             )
-    _emit(classic_document(ae_as_classic(ae)), args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(classic_document(ae_as_classic(ae)), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +439,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan2d(args: argparse.Namespace) -> int:
+def cmd_scan2d(args: argparse.Namespace) -> Tuple[int, str]:
     res = args.resolution
     if not 1 <= res <= MAX_SCAN_RESOLUTION:
         raise CliError(f"--resolution must be between 1 and {MAX_SCAN_RESOLUTION}")
@@ -499,8 +488,7 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
             f'<rect x="0" y="0" width="{res}" height="{res}" fill="#ffffff"/>\n'
         )
         payload = header + "\n".join(rects) + ("\n" if rects else "") + "</svg>\n"
-    _write(payload, args.output)
-    return EXIT_OK
+    return EXIT_OK, payload
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +496,7 @@ def cmd_scan2d(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> Tuple[int, str]:
     try:
         spec = InstanceSpec(
             m=args.m,
@@ -524,8 +512,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     slots = 2 * spec.kappa * spec.m * (spec.n + 1)
     if slots > MAX_GEN_SLOTS:
         raise CliError(f"--m, --n and --kappa give {slots} interval slots, above the cap of {MAX_GEN_SLOTS}")
-    _emit(generalized_document(random_instance(spec)), args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(generalized_document(random_instance(spec)), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", type=int, default=5,
                          help=f"existential grid points per parameter for the oracle, 2 to {MAX_ORACLE_GRID}")
     p_check.add_argument("--node-cap", type=int, default=10 ** 6,
-                         help="oracle leaf-evaluation budget")
+                         help=f"oracle leaf-evaluation budget, 1 to {MAX_NODE_CAP}")
     p_check.set_defaults(func=cmd_check)
 
     p_dec = sub.add_parser("decompose", help="show AE-block structure and block tuples")
@@ -587,19 +574,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its text goes to ``--output`` when given, else stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        code, text = args.func(args)
+        output = getattr(args, "output", None)
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return code
+    except (CliError, NodeCapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except NodeCapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

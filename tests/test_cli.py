@@ -17,6 +17,7 @@ from iqlin.cli import (
     EXIT_NOT_MEMBER,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_NODE_CAP,
     MAX_ORACLE_GRID,
     MAX_SCAN_RESOLUTION,
     ae_as_classic,
@@ -196,7 +197,7 @@ class TestCheck:
 
     def test_invalid_arguments_rejected_before_any_output(self, united_path, capsys):
         for extra in (["--grid", "1"], ["--grid", str(MAX_ORACLE_GRID + 1)], ["--node-cap", "0"],
-                      ["--point", "1/0"]):
+                      ["--node-cap", str(MAX_NODE_CAP + 1)], ["--point", "1/0"]):
             assert main(["check", "--system", united_path, "--point", "3/2", *extra]) == EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -424,16 +425,38 @@ class TestGen:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter with this tree's iqlin on its path."""
+    import iqlin
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iqlin.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+                          **kwargs)
+
+
 def test_import_loads_no_process_pool():
     # The CLI runs in one process; importing it must not load process-pool
     # machinery.  The one scalar type is fractions.Fraction.
-    import iqlin
-
     code = ("import fractions, sys, iqlin.cli, iqlin.ivcore; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]); "
             "print(iqlin.ivcore.Rational is fractions.Fraction)")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(iqlin.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=120, check=True)
+    result = _python("-c", code, check=True)
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+# Errors that come late: json.load recursing on deep nesting, and str() of a
+# 4301-digit endpoint after the first decompose lines are built.
+@pytest.mark.parametrize("text, command", [
+    ("[" * 100000 + "]" * 100000, "check"),
+    (json.dumps({**UNITED_DOC, "b": [["6", "1e4300"]]}), "decompose"),
+], ids=["deep-nesting", "huge-endpoint"])
+def test_late_error_at_process_boundary(tmp_path, text, command):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    extra = ["--point", "1"] if command == "check" else []
+    result = _python("-m", "iqlin.cli", command, "--system", str(path), *extra)
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
