@@ -40,14 +40,15 @@ import argparse
 import json
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .charac import (
-    AbsFormEvaluator,
     AbsIneqSystem,
     ae_as_classic,
+    line_members,
     member_absform,
     member_absineq,
     member_intervalform,
@@ -439,6 +440,21 @@ def cmd_convert(args: argparse.Namespace) -> Tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+def _member_runs(intervals: List[tuple], ys: List[Fraction]) -> List[Tuple[int, int]]:
+    """Maximal index runs [start, stop) of the ascending ys inside the intervals."""
+    runs = []
+    for lo, hi in intervals:
+        start = 0 if lo is None else bisect_left(ys, lo)
+        stop = len(ys) if hi is None else bisect_right(ys, hi)
+        if start >= stop:
+            continue
+        if runs and start <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    return runs
+
+
 def cmd_scan2d(args: argparse.Namespace) -> Tuple[int, str]:
     res = args.resolution
     if not 1 <= res <= MAX_SCAN_RESOLUTION:
@@ -453,33 +469,24 @@ def cmd_scan2d(args: argparse.Namespace) -> Tuple[int, str]:
     xmin, xmax, ymin, ymax = map(_rational, parts)
     if xmin >= xmax or ymin >= ymax:
         raise CliError("scan bounds must be nonempty on both axes")
-    # Cell centers, exact rationals.
+    # Cell centers, exact rationals, each formatted once.
     xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
     ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
-    evaluator = AbsFormEvaluator(gen)
-    grid = [evaluator.member_many([(x1, y) for y in ys]) for x1 in xs]
+    # Column x1 is solved exactly along x2 (axis 1); its members are index runs of ys.
+    runs = [_member_runs(line_members(gen, (x1, 0), 1), ys) for x1 in xs]
     if args.format == "csv":
-        lines = ["x1,x2,member"]
-        for i in range(res):
-            row = grid[i]
-            for j in range(res):
-                lines.append(f"{xs[i]},{ys[j]},{1 if row[j] else 0}")
-        payload = "\n".join(lines) + "\n"
+        outside, inside = [f"{y},0" for y in ys], [f"{y},1" for y in ys]
+        rows = []
+        for x1, row_runs in zip(xs, runs):
+            row = outside[:]
+            for start, stop in row_runs:
+                row[start:stop] = inside[start:stop]
+            head = f"{x1},"
+            rows.append(head + ("\n" + head).join(row))
+        payload = "\n".join(["x1,x2,member", *rows, ""])
     else:
-        rects = []
-        for i in range(res):
-            row = grid[i]
-            j = 0
-            while j < res:
-                if row[j]:
-                    start = j
-                    while j < res and row[j]:
-                        j += 1
-                    rects.append(
-                        f'<rect x="{i}" y="{res - j}" width="1" height="{j - start}" fill="#1f6feb"/>'
-                    )
-                else:
-                    j += 1
+        rects = [f'<rect x="{i}" y="{res - stop}" width="1" height="{stop - start}" fill="#1f6feb"/>'
+                 for i, row_runs in enumerate(runs) for start, stop in row_runs]
         header = (
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {res} {res}" '
             f'shape-rendering="crispEdges">\n'

@@ -95,6 +95,28 @@ def random_interval(rng: random.Random, magnitude: int = 6, max_den: int = 4,
             return out
 
 
+def wide_exists_system(rng: random.Random, m: int, n: int, kappa: int) -> GeneralizedIQSystem:
+    """A random block system whose exists slots are wider than its forall slots.
+
+    With equal widths most solution sets are empty; radii up to 4 on the
+    exists side against 1 on the forall side give sets with boundaries
+    inside a box of side 8 about the origin for most seeds.
+    """
+    def slot(max_rad: int) -> tuple:
+        if rng.random() < 0.3:
+            return (0, 0)
+        mid = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        rad = Fraction(rng.randint(0, max_rad), rng.randint(1, 2))
+        return (mid - rad, mid + rad)
+
+    return GeneralizedIQSystem(
+        a_forall=[imat([[slot(1) for _ in range(n)] for _ in range(m)]) for _ in range(kappa)],
+        a_exists=[imat([[slot(4) for _ in range(n)] for _ in range(m)]) for _ in range(kappa)],
+        b_forall=[ivec([slot(1) for _ in range(m)]) for _ in range(kappa)],
+        b_exists=[ivec([slot(4) for _ in range(m)]) for _ in range(kappa)],
+    )
+
+
 def random_classic(rng: random.Random, m: int, n: int, zero_prob: float = 0.0,
                    avoid_zero: bool = False) -> ClassicIQSystem:
     A = IntervalMatrix([

@@ -2,15 +2,26 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from iqlin import InstanceSpec, build_tuples, member_absform, member_intervalform, prop2_flatten, random_instance
+from iqlin import (
+    AbsFormEvaluator,
+    InstanceSpec,
+    build_tuples,
+    member_absform,
+    member_intervalform,
+    prop2_flatten,
+    random_instance,
+)
 from iqlin.charac import MembershipVerdict
 from iqlin.cli import (
     EXIT_CROSS_CHECK,
@@ -28,7 +39,7 @@ from iqlin.cli import (
     parse_system,
 )
 from iqlin.prefix import ClassicIQSystem, GeneralizedIQSystem
-from conftest import gen_1x1, imat, ivec, outer_exists_system, random_classic
+from conftest import gen_1x1, imat, ivec, outer_exists_system, random_classic, wide_exists_system
 
 UNITED_DOC = {
     "format": "iqlin-system",
@@ -381,6 +392,52 @@ class TestScan2d:
         for x1, x2, flag in rows:
             assert flag == ("1" if member_intervalform(gen, [x1, x2]).member else "0")
         assert {(x1, x2) for x1, x2, flag in rows if flag == "1"} == {("0", "0"), ("0", "4/5")}
+
+    @pytest.mark.parametrize("name", ["sys2", "sys3", "sys6"])
+    def test_no_point_encoding(self, name, capsys):
+        # Each row is solved exactly from the compiled rows; the batch
+        # evaluator is never asked, and the output is the stored one.
+        golden = Path(__file__).with_name("golden")
+        with mock.patch.object(AbsFormEvaluator, "encode_points", side_effect=AssertionError("encode_points")), \
+                mock.patch.object(AbsFormEvaluator, "member_many", side_effect=AssertionError("member_many")):
+            for fmt in ("csv", "svg"):
+                assert main(["scan2d", "--system", str(golden / f"{name}.json"), "--bounds=-2,2,-2,2",
+                             "--resolution", "16", "--format", fmt]) == EXIT_OK
+                assert capsys.readouterr().out.encode("utf-8") == (golden / f"{name}.scan.{fmt}").read_bytes()
+
+    def test_grids_equal_batch_evaluator(self, tmp_path, capsys):
+        # 120 seeded two-unknown systems at resolution 40: every CSV flag and
+        # every SVG cell equals AbsFormEvaluator.member_many at the cell center.
+        rng = random.Random(20261019)
+        res = 40
+        mixed = 0
+        for k in range(120):
+            gen = wide_exists_system(rng, m=1 + k % 3, n=2, kappa=1 + k // 3 % 3)
+            path = write_doc(tmp_path, f"doc{k}.json", generalized_document(gen))
+            bounds = rng.choice(["-4,4,-4,4", "-2,6,-5,3", "-1/3,2/3,-7,1"])
+            xmin, xmax, ymin, ymax = map(Fraction, bounds.split(","))
+            xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
+            ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
+            want = AbsFormEvaluator(gen).member_many([(x1, x2) for x1 in xs for x2 in ys])
+            argv = ["scan2d", "--system", path, f"--bounds={bounds}", "--resolution", str(res), "--format"]
+            assert main(argv + ["csv"]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1:] == [f"{x1},{x2},{1 if flag else 0}"
+                                 for (x1, x2), flag in zip(((a, b) for a in xs for b in ys), want)]
+            assert main(argv + ["svg"]) == EXIT_OK
+            # One rect per maximal run of members in a column, bottom row last.
+            runs = []
+            for i in range(res):
+                j = 0
+                for flag, group in groupby(want[i * res:(i + 1) * res]):
+                    size = len(list(group))
+                    if flag:
+                        runs.append((str(i), str(res - j - size), str(size)))
+                    j += size
+            assert re.findall(r'<rect x="(\d+)" y="(\d+)" width="1" height="(\d+)" fill="#1f6feb"/>',
+                              capsys.readouterr().out) == runs
+            mixed += 0 < sum(want) < res * res
+        assert mixed >= 60
 
     def test_zero_denominator_bounds(self, tmp_path, capsys):
         path = self.make_two_var_doc(tmp_path)

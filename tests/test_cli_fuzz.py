@@ -5,7 +5,8 @@ hypothesis mutates the three document kinds (the stored golden documents
 n = 2): it replaces or deletes random fields and inserts wrong types,
 nested values, ``"1/0"``, ``"1e4300"`` and 5000-digit strings.  Each
 mutated document then goes through ``check``, ``decompose``, both
-``convert`` targets or ``scan2d``.  Whatever the input:
+``convert`` targets or ``scan2d``; ``gen`` gets in-range and
+just-out-of-range flag values instead.  Whatever the input:
 
 * the exit code is one of 0, 1, 2, 3, and nothing but argparse's
   ``SystemExit(2)`` escapes ``main``;
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqlin.cli import EXIT_USAGE, MAX_NODE_CAP, MAX_ORACLE_GRID, MAX_SCAN_RESOLUTION, main
+from iqlin.cli import EXIT_USAGE, MAX_GEN_SLOTS, MAX_NODE_CAP, MAX_ORACLE_GRID, MAX_SCAN_RESOLUTION, main
 
 GOLDEN = Path(__file__).with_name("golden")
 DOCS = [json.loads((GOLDEN / name).read_text()) for name in ("sys6.json", "sys2.ae-flatten.json", "absineq.json")]
@@ -91,7 +92,22 @@ SCAN = st.builds(
     st.sampled_from(["-2,2,-2,2"] * 3 + ["1,-1,0,1", "1/0,1,0,1", "-1e4300,1e4300,-1,1", "0,1,0"]),
     st.sampled_from(["csv", "svg"]),
 )
-COMMANDS = CHECK | SCAN | st.just(["decompose"]) | st.sampled_from(["ae-flatten", "from-absineq"]).map(
+# gen takes no --system.  In-range sizes stay small; each flag also takes
+# the first value past its limit, the slot cap included (m = 250001, n = 1).
+GEN = st.builds(
+    lambda dims, zero_prob, magnitude, max_den, seed, to_file: [
+        "gen", *dims, "--zero-prob", zero_prob, "--magnitude", magnitude, "--max-den", max_den,
+        "--seed", seed, *(["--output", OUTPUT] if to_file else [])],
+    st.lists(st.sampled_from(["1", "2", "3"] * 4 + ["0"]), min_size=3, max_size=3).map(
+        lambda v: ["--m", v[0], "--n", v[1], "--kappa", v[2]])
+    | st.just(["--m", str(MAX_GEN_SLOTS // 4 + 1), "--n", "1", "--kappa", "1"]),
+    st.sampled_from(["0", "0.5", "1"] * 3 + ["1.0001", "-0.1", "nan"]),
+    st.sampled_from(["1", "8", "100"] * 3 + ["0"]),
+    st.sampled_from(["1", "4", "9"] * 3 + ["0"]),
+    st.sampled_from(["0", "7", "-3"]),
+    st.booleans(),
+)
+COMMANDS = CHECK | SCAN | GEN | st.just(["decompose"]) | st.sampled_from(["ae-flatten", "from-absineq"]).map(
     lambda target: ["convert", "--target", target, "--output", OUTPUT])
 POINTS_DOCS = [{"points": [["1", "2"], ["-1/2", "0"]]}, [["0", "0"]]]
 
@@ -113,7 +129,8 @@ def test_exit_code_contract(workdir, system, points, command):
     Path(paths["points.json"]).write_text(points)
     if os.path.exists(paths["out"]):
         os.remove(paths["out"])
-    argv = [command[0], "--system", paths["system.json"],
+    system = [] if command[0] == "gen" else ["--system", paths["system.json"]]
+    argv = [command[0], *system,
             *[{POINTS: paths["points.json"], OUTPUT: paths["out"]}.get(a, a) for a in command[1:]]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

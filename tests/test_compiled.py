@@ -322,3 +322,37 @@ def test_rows_beyond_int64_take_exact_path():
     assert verdicts == [ref_absform(gen, p).member for p in points]
     assert any(verdicts) and not all(verdicts)
     assert evaluator.member_many([]) == []
+
+
+def _largest_accepted_entry(evaluator) -> int:
+    """The largest encoded entry magnitude the evaluator's int64 bound accepts."""
+    hi = 1
+    while evaluator._fits(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if evaluator._fits(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("gen", [
+    # A'' = [2^31, 2^31 + 2], b'' = [-1, 1]: past the bound, int64 wraps and
+    # 8589934587 would read as a member.
+    gen_1x1(a_ex=(2 ** 31, 2 ** 31 + 2), b_ex=(-1, 1)),
+    gen_1x1(a_fa=(-2 ** 40, -2 ** 40 + 6), a_ex=(3 * 2 ** 29, 3 * 2 ** 29 + 2), b_ex=(-5, 7)),
+    gen_1x1(blocks=[((2 ** 33, 2 ** 33 + 4), (0, 0), (0, 0), (0, 0)),
+                    ((0, 0), (2 ** 35, 2 ** 35 + 2), (0, 0), (-3, 3))]),
+], ids=["roadmap-1x1", "both-sides", "two-blocks"])
+def test_overflow_bound_edge(gen):
+    # At the largest entry the int64 bound accepts the kernel decides the
+    # point; one past it the point goes to the exact per-point path.  Both
+    # must equal member_absform, on either sign.
+    evaluator = AbsFormEvaluator(gen)
+    edge = _largest_accepted_entry(evaluator)
+    assert evaluator.encode_points([PointVector([edge])]) is not None
+    assert evaluator.encode_points([PointVector([edge + 1])]) is None
+    points = [PointVector([v]) for v in (edge, -edge, edge + 1, -edge - 1, 8589934587, Fraction(1, edge))]
+    for batch in ([p] for p in points):
+        assert evaluator.member_many(batch) == [member_absform(gen, p).member for p in batch], batch
+    assert evaluator.member_many(points) == [member_absform(gen, p).member for p in points]
