@@ -65,7 +65,6 @@ from .prefix import (
     GeneralizedIQSystem,
     block_shapes,
     build_tuples,
-    decompose_ae_blocks,
     format_prefix,
     parse_prefix_text,
     validate_disjoint,
@@ -388,10 +387,11 @@ def cmd_decompose(args: argparse.Namespace) -> Tuple[int, str]:
     system = load_system(args.system)
     gen = as_generalized(system)
     if isinstance(system, ClassicIQSystem):
-        boundaries = decompose_ae_blocks(system.prefix)
-        lines = [f"prefix: {format_prefix(system.prefix)}", f"kappa: {boundaries.kappa}"]
-        for s, shape in enumerate(block_shapes(system.prefix, boundaries), start=1):
-            lines.append(f"{_block_label(s, boundaries.kappa)}: shape {shape}")
+        shapes = block_shapes(system.prefix)
+        kappa = len(shapes)
+        lines = [f"prefix: {format_prefix(system.prefix)}", f"kappa: {kappa}"]
+        for s, shape in enumerate(shapes, start=1):
+            lines.append(f"{_block_label(s, kappa)}: shape {shape}")
         report = validate_disjoint(gen, system.A, system.b)
         verdict = f"sums reproduce A,b: {'ok' if report.ok else f'FAILED ({report})'}"
         code = EXIT_OK if report.ok else EXIT_CROSS_CHECK

@@ -18,8 +18,8 @@ exists side, and two views of the same data are kept as flat tuples:
   prefix-summed over blocks 1..l for the levels l = 1..kappa-1,
   level-major; ``slack`` the full exists-minus-forall radius row and
   ``center`` the summed midpoint row (rhs negated through the
-  augmentation).  The midpoint-radius form, the batch evaluator and
-  ``prop2_flatten`` read these.
+  augmentation).  The midpoint-radius form, the batch evaluator,
+  ``prop2_flatten`` and the line solve ``line_members`` read these.
 
 Equal values within one system share one int object, so a compiled
 system stays small while its ``GeneralizedIQSystem`` is alive.

@@ -85,11 +85,6 @@ class Interval:
         object.__setattr__(self, "hi", hi_r)
 
     @classmethod
-    def point(cls, value: RationalLike) -> "Interval":
-        v = rat(value)
-        return cls(v, v)
-
-    @classmethod
     def zero(cls) -> "Interval":
         return _ZERO_INTERVAL
 
@@ -118,32 +113,9 @@ class Interval:
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def scale(self, factor: RationalLike) -> "Interval":
-        """Multiply by a real scalar; endpoints swap when the factor is negative."""
-        k = rat(factor)
-        if k >= _ZERO:
-            return Interval(k * self.lo, k * self.hi)
-        return Interval(k * self.hi, k * self.lo)
-
-    def contains(self, value: RationalLike) -> bool:
-        v = rat(value)
-        return self.lo <= v <= self.hi
-
     def subset_of(self, other: "Interval") -> bool:
         """True iff every point of this interval lies in ``other``."""
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        """Nonempty intersection test: a.lo <= b.hi and b.lo <= a.hi."""
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """The intersection as an interval, or None when disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -188,17 +160,6 @@ class PointVector:
     def __iter__(self) -> Iterator[Rational]:
         return iter(self.entries)
 
-    def abs_vec(self) -> "PointVector":
-        return PointVector(abs(v) for v in self.entries)
-
-    def pos_part(self) -> "PointVector":
-        """Coordinatewise max(x, 0); x = pos_part - neg_part."""
-        return PointVector(v if v > _ZERO else _ZERO for v in self.entries)
-
-    def neg_part(self) -> "PointVector":
-        """Coordinatewise max(-x, 0)."""
-        return PointVector(-v if v < _ZERO else _ZERO for v in self.entries)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.entries) + ")"
 
@@ -231,10 +192,6 @@ class IntervalVector:
             if not isinstance(e, Interval):
                 raise TypeError(f"IntervalVector entries must be Interval, got {type(e).__name__}")
         object.__setattr__(self, "entries", items)
-
-    @classmethod
-    def zero(cls, m: int) -> "IntervalVector":
-        return cls(_ZERO_INTERVAL for _ in range(m))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -281,10 +238,6 @@ class IntervalMatrix:
                 if not isinstance(e, Interval):
                     raise TypeError(f"IntervalMatrix entries must be Interval, got {type(e).__name__}")
         object.__setattr__(self, "rows", packed)
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "IntervalMatrix":
-        return cls([[_ZERO_INTERVAL] * n for _ in range(m)])
 
     @property
     def shape(self) -> tuple:

@@ -223,10 +223,9 @@ def decompose_ae_blocks(prefix: QuantifierPrefix) -> BlockBoundaries:
     return BlockBoundaries(kappa=len(seg_lengths), cuts=tuple(cuts))
 
 
-def block_assignment(prefix: QuantifierPrefix, boundaries: Optional[BlockBoundaries] = None) -> tuple:
+def block_assignment(prefix: QuantifierPrefix) -> tuple:
     """For each binding (in outermost-first order) its block number, innermost = 1."""
-    if boundaries is None:
-        boundaries = decompose_ae_blocks(prefix)
+    boundaries = decompose_ae_blocks(prefix)
     mu = prefix.mu
     blocks = [0] * mu
     for s in range(1, boundaries.kappa + 1):
@@ -237,10 +236,9 @@ def block_assignment(prefix: QuantifierPrefix, boundaries: Optional[BlockBoundar
     return tuple(blocks)
 
 
-def block_shapes(prefix: QuantifierPrefix, boundaries: Optional[BlockBoundaries] = None) -> tuple:
+def block_shapes(prefix: QuantifierPrefix) -> tuple:
     """Quantifier word of each block read outside in, innermost block first."""
-    if boundaries is None:
-        boundaries = decompose_ae_blocks(prefix)
+    boundaries = decompose_ae_blocks(prefix)
     word = prefix.quantifier_word()
     mu = len(word)
     shapes = []
@@ -361,9 +359,8 @@ def build_tuples(sys: ClassicIQSystem) -> GeneralizedIQSystem:
     which ``validate_disjoint`` checks.
     """
     m, n = sys.shape
-    boundaries = decompose_ae_blocks(sys.prefix)
-    kappa = boundaries.kappa
-    blocks = block_assignment(sys.prefix, boundaries)
+    blocks = block_assignment(sys.prefix)
+    kappa = max(blocks)
     zero = Interval.zero()
     a_cells = {
         (s, q): [[zero] * n for _ in range(m)]

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_interval
+from conftest import imat, ivec, random_interval
 from iqlin import (
     AbsIneqSystem,
     AESystem,
@@ -120,7 +120,7 @@ def test_uniform_with_zero_entries(matrix_quant, rhs_quant):
         A = IntervalMatrix([[random_interval(rng, zero_prob=0.5) for _ in range(n)] for _ in range(m)])
         b = IntervalVector([random_interval(rng, zero_prob=0.5) for _ in range(m)])
         assert_matches_reference(AESystem.uniform(A, b, matrix_quant, rhs_quant))
-    zero = AESystem.uniform(IntervalMatrix.zero(2, 3), IntervalVector.zero(2), matrix_quant, rhs_quant)
+    zero = AESystem.uniform(imat([[(0, 0)] * 3] * 2), ivec([(0, 0)] * 2), matrix_quant, rhs_quant)
     assert_matches_reference(zero)
 
 

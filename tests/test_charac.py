@@ -191,8 +191,8 @@ class TestAbsForm:
     def test_center_bound_row_index(self):
         gen = GeneralizedIQSystem(
             [IntervalMatrix([[ivl(1, 1)], [ivl(1, 1)]])],
-            [IntervalMatrix.zero(2, 1)],
-            [IntervalVector.zero(2)],
+            [imat([[(0, 0)]] * 2)],
+            [ivec([(0, 0)] * 2)],
             [IntervalVector([ivl(0, 0), ivl(5, 6)])],
         )
         verdict = member_absform(gen, ["0"])
@@ -390,24 +390,24 @@ class TestProp1:
 class TestCorollary1:
     def test_united_reproduction(self):
         ae = corollary1_construct(
-            IntervalMatrix.zero(1, 1), imat([[(2, 4)]]),
-            IntervalVector.zero(1), ivec([(6, 8)]),
+            imat([[(0, 0)]]), imat([[(2, 4)]]),
+            ivec([(0, 0)]), ivec([(6, 8)]),
         )
         for x, want in (("3/2", True), ("4", True), ("1", False), ("9/2", False)):
             assert member_rohn(ae, [x]).member is want
 
     def test_tolerable_reproduction(self):
         ae = corollary1_construct(
-            imat([[(2, 4)]]), IntervalMatrix.zero(1, 1),
-            IntervalVector.zero(1), ivec([(2, 8)]),
+            imat([[(2, 4)]]), imat([[(0, 0)]]),
+            ivec([(0, 0)]), ivec([(2, 8)]),
         )
         for x, want in (("1", True), ("2", True), ("1/2", False), ("5/2", False)):
             assert member_rohn(ae, [x]).member is want
 
     def test_degenerate_exact_system(self):
         ae = corollary1_construct(
-            imat([[(3, 3)]]), IntervalMatrix.zero(1, 1),
-            ivec([(6, 6)]), IntervalVector.zero(1),
+            imat([[(3, 3)]]), imat([[(0, 0)]]),
+            ivec([(6, 6)]), ivec([(0, 0)]),
         )
         assert member_rohn(ae, ["2"]).member
         assert not member_rohn(ae, ["1"]).member
@@ -456,10 +456,10 @@ class TestProp2:
 
     def test_all_zero_tuples_accept_everything(self, rng):
         gen = GeneralizedIQSystem(
-            [IntervalMatrix.zero(2, 2)] * 3,
-            [IntervalMatrix.zero(2, 2)] * 3,
-            [IntervalVector.zero(2)] * 3,
-            [IntervalVector.zero(2)] * 3,
+            [imat([[(0, 0)] * 2] * 2)] * 3,
+            [imat([[(0, 0)] * 2] * 2)] * 3,
+            [ivec([(0, 0)] * 2)] * 3,
+            [ivec([(0, 0)] * 2)] * 3,
         )
         ae = prop2_flatten(gen)
         for _ in range(5):

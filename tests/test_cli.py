@@ -352,16 +352,15 @@ class TestScan2d:
         lines = capsys.readouterr().out.strip().splitlines()
         assert not any(line.endswith(",1") for line in lines[1:])
 
-    def test_svg_deterministic_and_parallel_equal(self, tmp_path):
+    def test_svg_deterministic(self, tmp_path):
         path = self.make_two_var_doc(tmp_path)
         outputs = []
-        for threads in ("1", "1", "2"):
-            out = str(tmp_path / f"scan-{threads}-{len(outputs)}.svg")
-            with mock.patch.dict(os.environ, {"IQLIN_THREADS": threads}):
-                assert main(["scan2d", "--system", path, "--bounds=-1,1,-1,1",
-                             "--resolution", "9", "--format", "svg", "--output", out]) == EXIT_OK
+        for run in range(2):
+            out = str(tmp_path / f"scan-{run}.svg")
+            assert main(["scan2d", "--system", path, "--bounds=-1,1,-1,1",
+                         "--resolution", "9", "--format", "svg", "--output", out]) == EXIT_OK
             outputs.append(Path(out).read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
         assert b"<svg" in outputs[0]
 
     def test_bad_bounds(self, tmp_path):

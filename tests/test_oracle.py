@@ -46,9 +46,9 @@ class TestVertexOracle:
         m, n = 3, 6
         gen = GeneralizedIQSystem(
             [IntervalMatrix([[imat([[(0, 1)]]).entry(0, 0)] * n for _ in range(m)])],
-            [IntervalMatrix.zero(m, n)],
+            [imat([[(0, 0)] * n] * m)],
             [IntervalVector([ivec([(0, 1)])[0]] * m)],
-            [IntervalVector.zero(m)],
+            [ivec([(0, 0)] * m)],
         )
         x = pvec(*([1] * n))
         with pytest.raises(NodeCapExceeded):

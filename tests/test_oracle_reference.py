@@ -132,7 +132,7 @@ def _relaxed_row_survives(moves: List[_Move], idx: int, acc: Rational,
             hull_lo += a
             hull_hi += b
     tail_forall = [moves[t] for t in range(idx + 1, len(moves)) if moves[t].quant is Quantifier.FORALL]
-    feasible: Optional[Interval] = boxes[idx]
+    feasible = boxes[idx]
     k = move.coeff
     for choice in itertools.product(*[(mv.box.lo, mv.box.hi) for mv in tail_forall]):
         budget.spend()
@@ -145,9 +145,10 @@ def _relaxed_row_survives(moves: List[_Move], idx: int, acc: Rational,
             window = Interval(lo / k, hi / k)
         else:
             window = Interval(hi / k, lo / k)
-        feasible = feasible.intersect(window)
-        if feasible is None:
+        lo, hi = max(feasible.lo, window.lo), min(feasible.hi, window.hi)
+        if lo > hi:
             return False
+        feasible = Interval(lo, hi)
     prev = boxes[idx]
     boxes[idx] = feasible
     try:

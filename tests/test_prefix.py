@@ -21,7 +21,7 @@ from iqlin import (
     rhs_param,
     validate_disjoint,
 )
-from iqlin.ivcore import Interval, IntervalMatrix, IntervalVector
+from iqlin.ivcore import Interval
 from conftest import brute_valid_cut_sets, imat, ivec, random_classic
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -74,13 +74,13 @@ class TestDecomposition:
         p = word_prefix("EEAEAA", 2, 2)
         bd = decompose_ae_blocks(p)
         assert bd.kappa == 3
-        assert block_shapes(p, bd) == ("AA", "AE", "EE")
+        assert block_shapes(p) == ("AA", "AE", "EE")
 
     def test_all_exists_single_block(self):
         p = word_prefix("EE", 1, 1)
         bd = decompose_ae_blocks(p)
         assert bd.kappa == 1
-        assert block_shapes(p, bd) == ("EE",)
+        assert block_shapes(p) == ("EE",)
 
     def test_forall_exists_single_block(self):
         p = word_prefix("AAEE", 1, 3)
@@ -97,12 +97,15 @@ class TestDecomposition:
             m, n = 1, mu - 1
             if n == 0:
                 continue
+            A, b = imat([[(1, 2)] * n]), ivec([(0, 1)])
             for bits in range(2 ** mu):
                 word = "".join("AE"[(bits >> t) & 1] for t in range(mu))
                 p = word_prefix(word, m, n)
                 valid = brute_valid_cut_sets(word)
                 assert len(valid) == 1, (word, valid)
                 assert decompose_ae_blocks(p).cuts == valid[0]
+                kappa = build_tuples(ClassicIQSystem(A, b, p)).kappa
+                assert kappa == len(block_shapes(p)) == len(valid[0]) - 1, word
 
     def test_kappa_one_iff_forall_exists_shape(self):
         rng = random.Random(3)
@@ -125,8 +128,8 @@ class TestBuildTuples:
         assert gen.kappa == 1
         assert gen.a_forall[0] == imat([[(2, 4)]])
         assert gen.b_exists[0] == ivec([(6, 8)])
-        assert gen.a_exists[0] == IntervalMatrix.zero(1, 1)
-        assert gen.b_forall[0] == IntervalVector.zero(1)
+        assert gen.a_exists[0] == imat([[(0, 0)]])
+        assert gen.b_forall[0] == ivec([(0, 0)])
 
     def test_all_forall(self):
         sys = ClassicIQSystem(
@@ -137,8 +140,8 @@ class TestBuildTuples:
         assert gen.kappa == 1
         assert gen.a_forall[0] == sys.A
         assert gen.b_forall[0] == sys.b
-        assert gen.a_exists[0] == IntervalMatrix.zero(1, 1)
-        assert gen.b_exists[0] == IntervalVector.zero(1)
+        assert gen.a_exists[0] == imat([[(0, 0)]])
+        assert gen.b_exists[0] == ivec([(0, 0)])
 
     def test_three_block_slotting(self):
         # EEAEAA over a 2x2 system, parameters row-major: a11 a12 b1 a21 a22 b2.
@@ -253,9 +256,9 @@ class TestRecompose:
         from iqlin import GeneralizedIQSystem
         gen = GeneralizedIQSystem(
             a_forall=(imat([[(1, 2)]]), imat([[(1, 2)]])),
-            a_exists=(IntervalMatrix.zero(1, 1),) * 2,
-            b_forall=(IntervalVector.zero(1),) * 2,
-            b_exists=(ivec([(0, 1)]), IntervalVector.zero(1)),
+            a_exists=(imat([[(0, 0)]]),) * 2,
+            b_forall=(ivec([(0, 0)]),) * 2,
+            b_exists=(ivec([(0, 1)]), ivec([(0, 0)])),
         )
         with pytest.raises(ValueError, match="disjoint"):
             recompose_prefix(gen)
