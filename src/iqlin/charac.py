@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import add, gt, mul, sub
+from operator import add, attrgetter, gt, mul, sub
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -125,6 +125,12 @@ def _cleared(x: PointLike, n: int) -> list:
     column = [p * (lx // d) for p, d in ratios]
     column.append(lx)
     return column
+
+
+def _int64_parts(entries: list) -> tuple:
+    """Numerators and denominators of Fractions as two int64 arrays; OverflowError past int64."""
+    return tuple(np.fromiter(map(attrgetter(part), entries), np.int64, len(entries))
+                 for part in ("numerator", "denominator"))
 
 
 def _row_dots(flat: tuple, vec: list) -> list:
@@ -534,14 +540,14 @@ class AbsFormEvaluator:
     arrays, divided by the gcd of all their entries: for each of the
     kappa-1 ordering levels the prefix-summed radius rows of both
     quantifier sides, plus the full radius-slack row (exists minus
-    forall) and the summed center row.  A batch of encoded points is
-    then decided in exact integer arithmetic with numpy,
-    2 * kappa * m * (n+1) multiply-adds per point.  When the
-    conservative overflow bound fails, evaluation falls back to
-    ``member_absform`` point by point, so verdicts always equal it.
-    Rows too large for that bound even at a unit point are never
-    converted to int64, and every batch of such a system takes the
-    per-point path.
+    forall) and the summed center row.  A batch of points is encoded
+    with numpy into cleared integer columns and decided in exact
+    integer arithmetic, 2 * kappa * m * (n+1) multiply-adds per point.
+    The encoder masks each point whose cleared column exceeds the
+    conservative overflow bound; those points alone are decided by
+    ``member_absform``, so verdicts always equal it.  Rows too large
+    for that bound even at a unit point are never converted to int64,
+    and every point of such a system takes the per-point path.
     """
 
     # Tile width of the batch kernel (keeps per-tile products cache resident).
@@ -555,7 +561,11 @@ class AbsFormEvaluator:
         # One common factor out of every row leaves each inequality intact.
         common = math.gcd(*chain.from_iterable(rows)) or 1
         rows = [[v // common for v in flat] for flat in rows]
-        self._coeff_max = max(1, max(map(abs, chain.from_iterable(rows))))
+        coeff_max = max(1, max(map(abs, chain.from_iterable(rows))))
+        # The largest encoded entry magnitude the overflow bound accepts.
+        # Each accumulated row value is at most coeff * (n+1) * max|entry| in
+        # magnitude; factor 2 leaves headroom for the comparisons.
+        self._bound = (2 ** 62 - 1) // (2 * coeff_max * (comp.n + 1))
         self._left = self._right = self._slack = self._center = None
         if self._fits(1):
             self._left, self._right, self._slack, self._center = [
@@ -564,30 +574,72 @@ class AbsFormEvaluator:
 
     def _fits(self, max_abs: int) -> bool:
         """The overflow bound for encoded entries of magnitude at most max_abs."""
-        # Each accumulated row value is at most coeff * (n+1) * max|entry| in
-        # magnitude; factor 2 leaves headroom for the comparisons.
-        return 2 * self._coeff_max * (self._n + 1) * max_abs < 2 ** 62
+        return max_abs <= self._bound
+
+    def _encode(self, points: Sequence[PointLike]) -> tuple:
+        """The cleared int64 columns of the points that fit, and the fit mask.
+
+        Each point becomes the column (x * lx, lx) with lx the positive
+        lcm of its denominators, equal to ``_cleared``; that leaves every
+        membership inequality unchanged.  ``fits[i]`` says whether every
+        entry of point i's column is within the overflow bound, and
+        ``aug`` holds the columns of the fitting points in order, as a
+        C-contiguous (n+1) x fits.sum() array for the kernel's tiles.
+        Every product is checked before it is formed, so no lane wraps.
+        """
+        n, bound, count = self._n, self._bound, len(points)
+        flat = [v for x in points for v in point_entries(x, n)]
+        # Rows beyond int64 (see __init__) fit no point.
+        fits = np.full(count, self._fits(1))
+        try:
+            num, den = _int64_parts(flat)
+        except OverflowError:
+            # Some numerator or denominator is beyond int64: its point cannot
+            # fit, and its entries are read as 0.
+            narrow = [-2 ** 63 <= v.numerator < 2 ** 63 and v.denominator < 2 ** 63 for v in flat]
+            fits &= np.array(narrow, dtype=np.bool_).reshape(count, n).all(axis=1)
+            num, den = _int64_parts([v if ok else _ZERO for v, ok in zip(flat, narrow)])
+        # One row per coordinate and one lane per point, the last row lx;
+        # each read is dropped once copied, which keeps peak memory down.
+        del flat
+        aug = np.empty((n + 1, count), dtype=np.int64)
+        aug[:n] = num.reshape(count, n).T
+        del num
+        den = den.reshape(count, n).T
+        lx = aug[n]
+        lx.fill(1)
+        for d in den:
+            step = d // np.gcd(lx, d)
+            fits &= lx <= bound // step
+            lx *= np.where(fits, step, 1)
+        # A masked lane's lx need not be a multiple of its denominators.
+        den[:, ~fits] = 1
+        scale = np.floor_divide(lx, den, out=den)
+        limit = bound // scale
+        fits &= ((-limit <= aug[:n]) & (aug[:n] <= limit)).all(axis=0)
+        # Masked lanes are zeroed, so no product below can wrap.
+        aug[:n, ~fits] = 0
+        aug[:n] *= scale
+        return (aug if fits.all() else aug.compress(fits, axis=1)), fits
 
     def encode_points(self, points: Sequence[PointLike]) -> Optional[np.ndarray]:
         """Clear point denominators into an int64 array for ``member_batch``.
 
-        Each point becomes the column (x * lx, lx) with lx the positive
-        lcm of its denominators (``_cleared``), which leaves every
-        membership inequality unchanged.  Returns None when the
-        conservative overflow bound rules out exact int64 evaluation.
+        The columns of ``_encode`` when every point fits the overflow
+        bound; None when some point does not, for an empty batch, and
+        for rows beyond int64.
         """
-        n = self._n
-        columns = [_cleared(x, n) for x in points]
-        if not self._fits(max(map(abs, chain.from_iterable(columns)), default=1)):
-            return None
-        # One column per point, C-contiguous for the kernel's column tiles.
-        return np.array(columns, dtype=np.int64).reshape(-1, n + 1).T.copy()
+        aug, fits = self._encode(points)
+        return aug if fits.size and fits.all() else None
 
     def member_many(self, points: Sequence[PointLike]) -> List[bool]:
-        encoded = self.encode_points(points)
-        if encoded is None:
-            return [member_absform(self.gen, x).member for x in points]
-        return [bool(v) for v in self.member_batch(encoded)]
+        """One membership verdict per point, equal to ``member_absform``'s."""
+        aug, fits = self._encode(points)
+        verdicts = np.zeros(len(points), dtype=np.bool_)
+        verdicts[fits] = self.member_batch(aug)
+        for i in np.flatnonzero(~fits):
+            verdicts[i] = member_absform(self.gen, points[i]).member
+        return verdicts.tolist()
 
     def member_batch(self, aug: np.ndarray) -> np.ndarray:
         """Exact int64 membership kernel for an encoded batch.

@@ -7,10 +7,13 @@ interval matrix products).  Every compiled path must return the same verdict, in
 the first violated condition.
 """
 
+import math
 import random
 from fractions import Fraction
 from typing import List
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from iqlin import (
     MembershipVerdict,
     PointVector,
     Violation,
+    charac,
     corollary1_construct,
     member_absform,
     member_intervalform,
@@ -33,6 +37,7 @@ from iqlin import (
     random_instance,
     rat,
 )
+from iqlin.charac import _cleared
 
 _ZERO = rat(0)
 _MEMBER = MembershipVerdict(True)
@@ -356,3 +361,108 @@ def test_overflow_bound_edge(gen):
     for batch in ([p] for p in points):
         assert evaluator.member_many(batch) == [member_absform(gen, p).member for p in batch], batch
     assert evaluator.member_many(points) == [member_absform(gen, p).member for p in points]
+
+
+@pytest.mark.parametrize("gen", [
+    gen_1x1(a_ex=(2 ** 31, 2 ** 31 + 2), b_ex=(-1, 1)),
+    gen_1x1(a_ex=(0, 2)),
+    random_instance(InstanceSpec(m=3, n=4, kappa=2, seed=5)),
+], ids=["roadmap-1x1", "reduced", "random"])
+def test_bound_is_the_largest_accepted_entry(gen):
+    evaluator = AbsFormEvaluator(gen)
+    assert evaluator._fits(evaluator._bound)
+    assert not evaluator._fits(evaluator._bound + 1)
+
+
+# A 2x3, two-block system on which about half of small random points are
+# members, so a verdict mix-up between kernel and fallback shows.
+_Z = (0, 0)
+_MIXED = GeneralizedIQSystem(
+    a_forall=[imat([[_Z, _Z, _Z], [_Z, _Z, _Z]]), imat([[(1, 2), _Z, _Z], [_Z, _Z, (-1, 1)]])],
+    a_exists=[imat([[(-1, 1), _Z, (-1, 1)], [_Z, (-2, 2), _Z]]), imat([[_Z, _Z, _Z], [_Z, _Z, _Z]])],
+    b_forall=[ivec([(-2, 2), (-1, 1)]), ivec([_Z, _Z])],
+    b_exists=[ivec([(0, 1), (-1, 0)]), ivec([(-3, 3), (-3, 3)])],
+)
+
+
+def _fallback_indices(evaluator, points) -> List[int]:
+    """The indices member_many sends to member_absform; its verdicts must equal member_absform's."""
+    want = [member_absform(evaluator.gen, p).member for p in points]
+    with mock.patch.object(charac, "member_absform", wraps=charac.member_absform) as spy:
+        assert evaluator.member_many(points) == want
+    index = {id(p): i for i, p in enumerate(points)}
+    return [index[id(call.args[1])] for call in spy.call_args_list]
+
+
+def test_mixed_batch_falls_back_per_point():
+    rng = random.Random(77)
+    points = [PointVector(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)) for _ in range(40)]
+    over = [3, 17, 39]
+    for i in over:
+        entries = list(points[i])
+        entries[i % 3] += Fraction(1, _HUGE_DEN)
+        points[i] = PointVector(entries)
+    verdicts = [member_absform(_MIXED, p).member for p in points]
+    assert any(verdicts) and not all(verdicts)
+    assert _fallback_indices(AbsFormEvaluator(_MIXED), points) == over
+
+
+def test_int64_min_numerator_falls_back():
+    # np.abs(-2**63) is -2**63 in int64, so a naive |num| <= bound test passes it.
+    points = [PointVector([v, 1, 0]) for v in (Fraction(1, 2), Fraction(-2 ** 63), Fraction(-2 ** 63, 3), -1)]
+    assert _fallback_indices(AbsFormEvaluator(_MIXED), points) == [1, 2]
+
+
+def test_entries_beyond_int64_fall_back():
+    wide = (2 ** 63, -2 ** 63 - 1, Fraction(1, 2 ** 63), Fraction(2 ** 64, 3), Fraction(-5, 2 ** 70 + 1))
+    points = [PointVector([1, Fraction(1, 2), 0])]
+    for v in wide:
+        points += [PointVector([0, v, 1]), PointVector([2, -1, Fraction(3, 4)])]
+    assert _fallback_indices(AbsFormEvaluator(_MIXED), points) == [1, 3, 5, 7, 9]
+
+
+def test_coprime_denominators_past_the_bound_fall_back():
+    # 1/d and 1/(d+1) each clear within the bound; their lcm d*(d+1) does not.
+    evaluator = AbsFormEvaluator(_MIXED)
+    d = math.isqrt(evaluator._bound) + 1
+    points = [PointVector(v) for v in ((Fraction(1, d), 0, 1), (0, Fraction(1, d + 1), 1),
+                                       (Fraction(1, d), Fraction(1, d + 1), 1), (Fraction(1, d), Fraction(3, d), 1))]
+    assert _fallback_indices(evaluator, points) == [2]
+
+
+def test_scaled_numerator_just_past_the_bound_falls_back():
+    # With lx = 3 the first entry clears to 3 * q: q = bound // 3 fits, q + 1 does not.
+    evaluator = AbsFormEvaluator(_MIXED)
+    q = evaluator._bound // 3
+    points = [PointVector([v, Fraction(1, 3), 0]) for v in (q, q + 1, -q, -q - 1)]
+    assert _fallback_indices(evaluator, points) == [1, 3]
+
+
+def test_empty_batch_and_rows_beyond_int64_fall_back():
+    assert _fallback_indices(AbsFormEvaluator(_MIXED), []) == []
+    huge = 10 ** 23
+    gen = GeneralizedIQSystem(
+        a_forall=[imat([[(-huge, huge), (0, 0)]])],
+        a_exists=[imat([[(0, 0), (1, 2)]])],
+        b_forall=[ivec([(0, 0)])],
+        b_exists=[ivec([(0, 1)])],
+    )
+    points = [PointVector([Fraction(i, 2), 1]) for i in range(-3, 4)]
+    assert _fallback_indices(AbsFormEvaluator(gen), points) == list(range(len(points)))
+    assert _fallback_indices(AbsFormEvaluator(gen), []) == []
+
+
+_ENTRY = st.builds(Fraction, st.one_of(st.integers(-50, 50), st.integers(-2 ** 64, 2 ** 64)),
+                   st.one_of(st.integers(1, 12), st.integers(1, 2 ** 62)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_ENTRY, min_size=3, max_size=3), max_size=12))
+def test_encoder_columns_equal_cleared(rows):
+    evaluator = AbsFormEvaluator(_MIXED)
+    points = [PointVector(row) for row in rows]
+    aug, fits = evaluator._encode(points)
+    columns = [_cleared(p, 3) for p in points]
+    assert fits.tolist() == [evaluator._fits(max(map(abs, column))) for column in columns]
+    assert aug.T.tolist() == [column for column, ok in zip(columns, fits) if ok]
+    assert aug.dtype == np.int64 and aug.flags.c_contiguous
