@@ -49,9 +49,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, attrgetter, gt, mul, sub
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from .ivcore import (
     Interval,
@@ -73,6 +71,9 @@ from .prefix import (
     matrix_param,
     rhs_param,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = rat(0)
 
@@ -129,6 +130,8 @@ def _cleared(x: PointLike, n: int) -> list:
 
 def _int64_parts(entries: list) -> tuple:
     """Numerators and denominators of Fractions as two int64 arrays; OverflowError past int64."""
+    import numpy as np
+
     return tuple(np.fromiter(map(attrgetter(part), entries), np.int64, len(entries))
                  for part in ("numerator", "denominator"))
 
@@ -548,12 +551,17 @@ class AbsFormEvaluator:
     ``member_absform``, so verdicts always equal it.  Rows too large
     for that bound even at a unit point are never converted to int64,
     and every point of such a system takes the per-point path.
+
+    numpy is imported on first use, when an evaluator is built, so
+    importing ``iqlin`` and running the per-point commands never load it.
     """
 
     # Tile width of the batch kernel (keeps per-tile products cache resident).
     _TILE = 2048
 
     def __init__(self, gen: GeneralizedIQSystem) -> None:
+        import numpy as np
+
         self.gen = gen
         comp = gen.compiled
         self._n, self._kappa = comp.n, comp.kappa
@@ -587,6 +595,8 @@ class AbsFormEvaluator:
         C-contiguous (n+1) x fits.sum() array for the kernel's tiles.
         Every product is checked before it is formed, so no lane wraps.
         """
+        import numpy as np
+
         n, bound, count = self._n, self._bound, len(points)
         flat = [v for x in points for v in point_entries(x, n)]
         # Rows beyond int64 (see __init__) fit no point.
@@ -634,6 +644,8 @@ class AbsFormEvaluator:
 
     def member_many(self, points: Sequence[PointLike]) -> List[bool]:
         """One membership verdict per point, equal to ``member_absform``'s."""
+        import numpy as np
+
         aug, fits = self._encode(points)
         verdicts = np.zeros(len(points), dtype=np.bool_)
         verdicts[fits] = self.member_batch(aug)
@@ -647,9 +659,11 @@ class AbsFormEvaluator:
         Returns a boolean array, one verdict per point column.  Exactly
         2 * kappa * m * (n+1) integer multiply-adds per point, in tiles
         so per-tile products stay cache resident; the caller has already
-        certified (via ``encode_points``) that no intermediate can
+        certified (via ``_encode``'s fit mask) that no intermediate can
         overflow, so 64-bit wraparound cannot occur.
         """
+        import numpy as np
+
         count = aug.shape[1]
         out = np.empty(count, dtype=np.bool_)
         for start in range(0, count, self._TILE):

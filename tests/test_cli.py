@@ -32,6 +32,7 @@ from iqlin.cli import (
     MAX_ORACLE_GRID,
     MAX_SCAN_RESOLUTION,
     ae_as_classic,
+    as_generalized,
     classic_document,
     generalized_document,
     load_system,
@@ -499,6 +500,60 @@ def test_import_loads_no_process_pool():
             "print(iqlin.ivcore.Rational is fractions.Fraction)")
     result = _python("-c", code, check=True)
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+def test_import_loads_no_numpy():
+    # numpy is imported only when an AbsFormEvaluator is built.
+    result = _python("-c", "import sys, iqlin, iqlin.cli; print('numpy' in sys.modules)", check=True)
+    assert result.stdout == "False\n"
+
+
+_GOLDEN = Path(__file__).with_name("golden")
+
+
+@pytest.mark.parametrize("name", ["sys2", "sys6"])
+@pytest.mark.parametrize("command", ["check", "decompose", "convert", "scan2d"])
+def test_command_loads_no_numpy(tmp_path, name, command):
+    # Each per-point command runs in a fresh child without importing numpy,
+    # and its output is still the stored one.
+    system = str(_GOLDEN / f"{name}.json")
+    out = tmp_path / "out"
+    point = (_GOLDEN / f"{name}.check.txt").read_text().split("\n")[0].split(": ")[1].strip("()")
+    argv, golden = {
+        "check": (["check", "--system", system, f"--point={point}", "--method", "all"], "check.txt"),
+        "decompose": (["decompose", "--system", system], "decompose.txt"),
+        "convert": (["convert", "--system", system, "--target", "ae-flatten", "--output", str(out)],
+                    "ae-flatten.json"),
+        "scan2d": (["scan2d", "--system", system, "--bounds=-2,2,-2,2", "--resolution", "16",
+                    "--format", "svg", "--output", str(out)], "scan.svg"),
+    }[command]
+    code = (f"import sys; from iqlin.cli import main; code = main({argv!r}); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    result = _python("-c", code, cwd=str(tmp_path))
+    assert result.stderr == "False\n"
+    assert result.returncode in (EXIT_OK, EXIT_NOT_MEMBER)
+    written = out.read_text() if command in ("convert", "scan2d") else result.stdout
+    assert written == (_GOLDEN / f"{name}.{golden}").read_text()
+
+
+def test_evaluator_from_cold_start():
+    # A fresh child builds the evaluator, so every deferred numpy import runs
+    # first there: in-bound points take the int64 kernel, and the point with
+    # denominator 2**61 + 1 is masked and decided by member_absform.
+    points = [[Fraction(i, 2), Fraction(j, 3)] for i in range(-5, 6) for j in range(-6, 7)]
+    points.insert(40, [Fraction(1, 2 ** 61 + 1), Fraction(-1)])
+    code = ("import json, sys; from fractions import Fraction; "
+            "from iqlin import AbsFormEvaluator; from iqlin.cli import as_generalized, load_system; "
+            "assert 'numpy' not in sys.modules; "
+            f"ev = AbsFormEvaluator(as_generalized(load_system({str(_GOLDEN / 'sys6.json')!r}))); "
+            "points = [[Fraction(v) for v in p] for p in json.load(sys.stdin)]; "
+            "print(json.dumps(ev.member_many(points)))")
+    result = _python("-c", code, input=json.dumps([[str(v) for v in p] for p in points]), check=True)
+    gen = as_generalized(load_system(str(_GOLDEN / "sys6.json")))
+    expected = [member_absform(gen, p).member for p in points]
+    assert json.loads(result.stdout) == expected
+    assert True in expected and False in expected
+    assert AbsFormEvaluator(gen).encode_points(points[40:41]) is None
 
 
 # Errors that come late: json.load recursing on deep nesting, and str() of a
