@@ -6,7 +6,10 @@ each system the stored files under ``tests/golden/`` hold the ``gen``
 document, the stdout of ``check`` at the criterion's point, of
 ``decompose`` and of ``convert --target ae-flatten``; for the
 two-unknown systems also the ``scan2d`` CSV and SVG at
-``--bounds=-2,2,-2,2 --resolution 16``.  One absineq document and its
+``--bounds=-2,2,-2,2 --resolution 16`` and at the corner cases of
+``SCAN_CORNERS``: a one-cell grid, an odd resolution whose cell centres
+include x1 = 0 and x2 = 0, bounds with unlike denominators, and a box
+wholly below x2 = 0.  One absineq document and its
 ``convert --target from-absineq`` output are stored beside them
 (``absineq.json``, ``absineq.from-absineq.json``).  ``render_corpus`` produces
 every one of them, so the files can be rewritten from it when an
@@ -28,6 +31,12 @@ from iqlin.oracle import random_point
 GOLDEN = Path(__file__).with_name("golden")
 CORPUS = ((1, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 2), (4, 2, 1, 2), (5, 1, 1, 3), (6, 2, 2, 2))
 SCAN = ["--bounds=-2,2,-2,2", "--resolution", "16"]
+SCAN_CORNERS = {
+    "res1": ["--bounds=-2,2,-2,2", "--resolution", "1"],
+    "odd15": ["--bounds=-2,2,-2,2", "--resolution", "15"],
+    "thirds": ["--bounds=-1/3,2/3,-7/5,1/2", "--resolution", "16"],
+    "below": ["--bounds=0,1,-3,-1", "--resolution", "16"],
+}
 # Both signs of D and d, and a zero entry, so both quantifiers and the tie appear.
 ABSINEQ = {
     "format": "iqlin-system", "version": 1, "kind": "absineq",
@@ -65,6 +74,9 @@ def render_corpus(workdir) -> dict:
         if n == 2:
             for fmt in ("csv", "svg"):
                 out[f"{name}.scan.{fmt}"] = _stdout(["scan2d", "--system", path, *SCAN, "--format", fmt])
+                for corner, argv in SCAN_CORNERS.items():
+                    out[f"{name}.scan-{corner}.{fmt}"] = _stdout(["scan2d", "--system", path, *argv,
+                                                                  "--format", fmt])
     path = os.path.join(str(workdir), "absineq.json")
     out["absineq.json"] = doc = (json.dumps(ABSINEQ, indent=2) + "\n").encode("utf-8")
     with open(path, "wb") as handle:
