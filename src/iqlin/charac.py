@@ -20,9 +20,10 @@ midpoint-radius form (``member_absform``)
 
 Along an axis-parallel line the midpoint-radius conditions are affine
 in the free coordinate on each side of zero (Oettli & Prager, 1964),
-so ``line_members`` returns the line's whole member set as at most two
-exact rational intervals in O(kappa * m * n) integer operations, with
-no point evaluated; ``scan2d`` solves each grid column with it.
+so ``line_solver`` finds the line's whole member set, at most two
+intervals with integer-ratio ends, in O(kappa * m * n) integer
+operations; ``line_members`` gives them as Fractions, and ``scan2d``
+maps the integer ends of each grid column straight to its cells.
 
 For one-block (kappa = 1) systems these reduce to the classical Shary
 inclusion and Rohn midpoint-radius characterizations of AE-solution
@@ -49,7 +50,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, attrgetter, gt, mul, sub
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 from .ivcore import (
     Interval,
@@ -199,14 +200,14 @@ def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
     return _MEMBER
 
 
-def _half_line(constraints, scale: int) -> Optional[tuple]:
-    """The t >= 0 with alpha * scale * t + beta >= 0 for every (alpha, beta).
+def _half_line(alphas: list, betas: list) -> Optional[tuple]:
+    """The u >= 0 with alpha * u + beta >= 0 for every paired (alpha, beta).
 
-    Returns (lo, hi) as Fractions, hi None when t is unbounded, or None
-    when no t >= 0 solves them all.
+    Returns (lo, hi) as integer ratios (numerator, positive denominator),
+    hi None when u is unbounded, or None when no u >= 0 solves them all.
     """
     lo_num, lo_den, hi = 0, 1, None
-    for alpha, beta in constraints:
+    for alpha, beta in zip(alphas, betas):
         if alpha > 0:
             if -beta * lo_den > lo_num * alpha:
                 lo_num, lo_den = -beta, alpha
@@ -215,11 +216,50 @@ def _half_line(constraints, scale: int) -> Optional[tuple]:
                 hi = (beta, -alpha)
         elif beta < 0:
             return None
-    if hi is None:
-        return Rational(lo_num, lo_den * scale), None
-    if hi[0] * lo_den < lo_num * hi[1]:
+    if hi is not None and hi[0] * lo_den < lo_num * hi[1]:
         return None
-    return Rational(lo_num, lo_den * scale), Rational(hi[0], hi[1] * scale)
+    return (lo_num, lo_den), hi
+
+
+def line_solver(gen: GeneralizedIQSystem, axis: int) -> Callable[[list], list]:
+    """The exact line solve along coordinate ``axis`` (0-based), in integers.
+
+    The returned function takes an integer column aug = (x_1 * lx, ...,
+    x_n * lx, lx) with aug[axis] = 0, not necessarily in lowest terms,
+    and returns the members' values of u = x[axis] * lx as at most two
+    intervals ``(lo, hi)`` in ascending order, one within u <= 0 and one
+    within u >= 0, with integer-ratio ends (numerator, positive
+    denominator) and None for an unbounded end.  With the sign of u
+    fixed, every radius-order row (right - left) . |aug| >= 0 and both
+    halves of every center row slack . |aug| -+ center . aug >= 0 is
+    affine in u (Oettli & Prager, Numer. Math. 6, 1964).  The alphas are
+    formed here once; a call forms the betas in O(kappa * m * (n+1))
+    integer operations.
+    """
+    comp = gen.compiled
+    width = comp.n + 1
+    if not 0 <= axis < comp.n:
+        raise ValueError(f"axis {axis} is outside 0..{comp.n - 1}")
+    spread = list(map(sub, comp.right, comp.left))
+    center_a, slack_a = comp.center[axis::width], comp.slack[axis::width]
+    alphas = [spread[axis::width] + [s_a - k * sign * c_a for c_a, s_a in zip(center_a, slack_a) for k in (1, -1)]
+              for sign in (1, -1)]
+    order_rows, center_rows, slack_rows = ([flat[k:k + width] for k in range(0, len(flat), width)]
+                                           for flat in (spread, comp.center, comp.slack))
+
+    def solve(aug: list) -> list:
+        absx = list(map(abs, aug))
+        betas = [sum(map(mul, row, absx)) for row in order_rows]
+        for c_row, s_row in zip(center_rows, slack_rows):
+            c_b, s_b = sum(map(mul, c_row, aug)), sum(map(mul, s_row, absx))
+            betas += (s_b - c_b, s_b + c_b)
+        pos, neg = (_half_line(side, betas) for side in alphas)
+        if neg is not None:
+            (num, den), hi = neg
+            neg = (None if hi is None else (-hi[0], hi[1]), (-num, den))
+        return [half for half in (neg, pos) if half is not None]
+
+    return solve
 
 
 def line_members(gen: GeneralizedIQSystem, x: PointLike, axis: int) -> List[tuple]:
@@ -231,40 +271,21 @@ def line_members(gen: GeneralizedIQSystem, x: PointLike, axis: int) -> List[tupl
     unbounded end; a point of the line is a member (``member_absform``)
     exactly when its x[axis] lies in one of them.
 
-    With t = |x[axis]| and the sign of x[axis] fixed, each compiled
-    midpoint-radius condition is affine in t, the orthant linearity of
-    Oettli & Prager, "Compatibility of approximate solution of linear
-    equations with given error bounds for coefficients and right-hand
-    sides", Numer. Math. 6 (1964): every radius-order row
-    (right - left) . |aug| >= 0 and both halves of every center row
-    slack . |aug| -+ center . aug >= 0 become alpha * t + beta >= 0.
-    Each half-axis is then one interval of t, and the two share t = 0,
-    where they are merged.  Cost: O(kappa * m * (n+1)) integer
-    operations; only the interval ends are Fractions.
+    This is the Fraction view of ``line_solver``, whose two half-axis
+    intervals are merged where both hold x[axis] = 0.
     """
-    comp = gen.compiled
-    width = comp.n + 1
-    if not 0 <= axis < comp.n:
-        raise ValueError(f"axis {axis} is outside 0..{comp.n - 1}")
-    entries = list(point_entries(x, comp.n))
+    solve = line_solver(gen, axis)
+    entries = list(point_entries(x, gen.compiled.n))
     entries[axis] = _ZERO
-    # The other coordinates cleared by lx; the axis entry is then t * lx.
-    aug = _cleared(entries, comp.n)
+    # The other coordinates cleared by lx; the axis entry is then u = x[axis] * lx.
+    aug = _cleared(entries, len(entries))
     lx = aug[-1]
-    absx = list(map(abs, aug))
-    spread = list(map(sub, comp.right, comp.left))
-    order = list(zip(spread[axis::width], _row_dots(spread, absx)))
-    center = list(zip(comp.center[axis::width], _row_dots(comp.center, aug)))
-    slack = list(zip(comp.slack[axis::width], _row_dots(comp.slack, absx)))
-    pos, neg = (_half_line(order + [(s_a - k * sign * c_a, s_b - k * c_b)
-                                    for (c_a, c_b), (s_a, s_b) in zip(center, slack) for k in (1, -1)], lx)
-                for sign in (1, -1))
-    if neg is not None:
-        neg = (None if neg[1] is None else -neg[1], -neg[0])
-        # Both halves hold x[axis] = 0 or neither does; if both, they meet there.
-        if pos is not None and neg[1] == pos[0]:
-            return [(neg[0], pos[1])]
-    return [half for half in (neg, pos) if half is not None]
+    intervals = [tuple(None if end is None else Rational(end[0], end[1] * lx) for end in half)
+                 for half in solve(aug)]
+    # Both halves hold x[axis] = 0 or neither does; if both, they meet there.
+    if len(intervals) == 2 and intervals[0][1] == intervals[1][0]:
+        return [(intervals[0][0], intervals[1][1])]
+    return intervals
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ import argparse
 import json
 import random
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
@@ -48,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .charac import (
     AbsIneqSystem,
     ae_as_classic,
-    line_members,
+    line_solver,
     member_absform,
     member_absineq,
     member_intervalform,
@@ -440,19 +439,24 @@ def cmd_convert(args: argparse.Namespace) -> Tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _member_runs(intervals: List[tuple], ys: List[Fraction]) -> List[Tuple[int, int]]:
-    """Maximal index runs [start, stop) of the ascending ys inside the intervals."""
-    runs = []
-    for lo, hi in intervals:
-        start = 0 if lo is None else bisect_left(ys, lo)
-        stop = len(ys) if hi is None else bisect_right(ys, hi)
-        if start >= stop:
-            continue
-        if runs and start <= runs[-1][1]:
-            runs[-1] = (runs[-1][0], stop)
-        else:
-            runs.append((start, stop))
-    return runs
+def _centres(lo: Fraction, hi: Fraction, res: int) -> Tuple[int, int, int]:
+    """(p, q, r) with the res cell centres of [lo, hi] at (p + q * (2j + 1)) / r, q and r > 0."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return 2 * res * a * d, c * b - a * d, 2 * res * b * d
+
+
+def _cell_run(lo: Optional[tuple], hi: Optional[tuple], grid: Tuple[int, int, int], res: int) -> Tuple[int, int]:
+    """The cells [start, stop) of grid whose centres lie in [lo, hi].
+
+    The ends are integer ratios (num, den > 0), None when unbounded.
+    Centre j is at least num / den exactly when j >= (num * r - den *
+    (p + q)) / (2 * den * q): the first such j is one ceil division, the
+    first j past hi one floor division plus 1.
+    """
+    p, q, r = grid
+    start = 0 if lo is None else max(0, -((lo[1] * (p + q) - lo[0] * r) // (2 * lo[1] * q)))
+    stop = res if hi is None else min(res, (hi[0] * r - hi[1] * (p + q)) // (2 * hi[1] * q) + 1)
+    return start, stop
 
 
 def cmd_scan2d(args: argparse.Namespace) -> Tuple[int, str]:
@@ -469,19 +473,34 @@ def cmd_scan2d(args: argparse.Namespace) -> Tuple[int, str]:
     xmin, xmax, ymin, ymax = map(_rational, parts)
     if xmin >= xmax or ymin >= ymax:
         raise CliError("scan bounds must be nonempty on both axes")
-    # Cell centers, exact rationals, each formatted once.
-    xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
-    ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
-    # Column x1 is solved exactly along x2 (axis 1); its members are index runs of ys.
-    runs = [_member_runs(line_members(gen, (x1, 0), 1), ys) for x1 in xs]
+    px, qx, rx = _centres(xmin, xmax, res)
+    py, qy, ry = _centres(ymin, ymax, res)
+    # Column i is (px + qx * (2i + 1), 0, rx), so the line solve's u is rx * x2,
+    # and the cells are read on the centres times rx.
+    grid = (rx * py, rx * qy, ry)
+    solve = line_solver(gen, 1)
+    runs = []
+    for i in range(res):
+        row_runs = []
+        for lo, hi in solve([px + qx * (2 * i + 1), 0, rx]):
+            start, stop = _cell_run(lo, hi, grid, res)
+            if start >= stop:
+                continue
+            # The halves share the centre x2 = 0 or touch: one maximal run.
+            if row_runs and start <= row_runs[-1][1]:
+                row_runs[-1] = (row_runs[-1][0], stop)
+            else:
+                row_runs.append((start, stop))
+        runs.append(row_runs)
     if args.format == "csv":
+        ys = [Fraction(py + qy * (2 * j + 1), ry) for j in range(res)]
         outside, inside = [f"{y},0" for y in ys], [f"{y},1" for y in ys]
         rows = []
-        for x1, row_runs in zip(xs, runs):
+        for i, row_runs in enumerate(runs):
             row = outside[:]
             for start, stop in row_runs:
                 row[start:stop] = inside[start:stop]
-            head = f"{x1},"
+            head = f"{Fraction(px + qx * (2 * i + 1), rx)},"
             rows.append(head + ("\n" + head).join(row))
         payload = "\n".join(["x1,x2,member", *rows, ""])
     else:

@@ -19,7 +19,7 @@ exists side, and two views of the same data are kept as flat tuples:
   level-major; ``slack`` the full exists-minus-forall radius row and
   ``center`` the summed midpoint row (rhs negated through the
   augmentation).  The midpoint-radius form, the batch evaluator,
-  ``prop2_flatten`` and the line solve ``line_members`` read these.
+  ``prop2_flatten`` and the integer line solve ``line_solver`` read these.
 
 Equal values within one system share one int object, so a compiled
 system stays small while its ``GeneralizedIQSystem`` is alive.

@@ -17,6 +17,7 @@ from iqlin import (
     AbsFormEvaluator,
     InstanceSpec,
     build_tuples,
+    line_members,
     member_absform,
     member_intervalform,
     prop2_flatten,
@@ -405,6 +406,27 @@ class TestScan2d:
                              "--resolution", "16", "--format", fmt]) == EXIT_OK
                 assert capsys.readouterr().out.encode("utf-8") == (golden / f"{name}.scan.{fmt}").read_bytes()
 
+    @staticmethod
+    def assert_scan_equals(argv, xs, ys, want, capsys):
+        """The CSV flags and the SVG cells of the scan equal want, the flags of (x1, x2) for x1 in xs, x2 in ys."""
+        res = len(xs)
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{x1},{x2},{1 if flag else 0}"
+                             for (x1, x2), flag in zip(((a, b) for a in xs for b in ys), want)]
+        assert main(argv + ["--format", "svg"]) == EXIT_OK
+        # One rect per maximal run of members in a column, bottom row last.
+        runs = []
+        for i in range(res):
+            j = 0
+            for flag, group in groupby(want[i * res:(i + 1) * res]):
+                size = len(list(group))
+                if flag:
+                    runs.append((str(i), str(res - j - size), str(size)))
+                j += size
+        assert re.findall(r'<rect x="(\d+)" y="(\d+)" width="1" height="(\d+)" fill="#1f6feb"/>',
+                          capsys.readouterr().out) == runs
+
     def test_grids_equal_batch_evaluator(self, tmp_path, capsys):
         # 120 seeded two-unknown systems at resolution 40: every CSV flag and
         # every SVG cell equals AbsFormEvaluator.member_many at the cell center.
@@ -419,25 +441,53 @@ class TestScan2d:
             xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
             ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
             want = AbsFormEvaluator(gen).member_many([(x1, x2) for x1 in xs for x2 in ys])
-            argv = ["scan2d", "--system", path, f"--bounds={bounds}", "--resolution", str(res), "--format"]
-            assert main(argv + ["csv"]) == EXIT_OK
-            lines = capsys.readouterr().out.splitlines()
-            assert lines[1:] == [f"{x1},{x2},{1 if flag else 0}"
-                                 for (x1, x2), flag in zip(((a, b) for a in xs for b in ys), want)]
-            assert main(argv + ["svg"]) == EXIT_OK
-            # One rect per maximal run of members in a column, bottom row last.
-            runs = []
-            for i in range(res):
-                j = 0
-                for flag, group in groupby(want[i * res:(i + 1) * res]):
-                    size = len(list(group))
-                    if flag:
-                        runs.append((str(i), str(res - j - size), str(size)))
-                    j += size
-            assert re.findall(r'<rect x="(\d+)" y="(\d+)" width="1" height="(\d+)" fill="#1f6feb"/>',
-                              capsys.readouterr().out) == runs
+            self.assert_scan_equals(["scan2d", "--system", path, f"--bounds={bounds}", "--resolution", str(res)],
+                                    xs, ys, want, capsys)
             mixed += 0 < sum(want) < res * res
         assert mixed >= 60
+
+    @staticmethod
+    def centres(lo, hi, res):
+        return [lo + (hi - lo) * (2 * j + 1) / (2 * res) for j in range(res)]
+
+    def test_centres_on_exact_ends(self, tmp_path, capsys):
+        # The y-bounds put a cell centre exactly on an end of a column's
+        # member set, where >= against > decides the cell; odd resolutions
+        # on symmetric bounds put centres on x1 = 0 and x2 = 0, where the
+        # two half-lines meet.  Every CSV flag and SVG cell equals member_many.
+        rng = random.Random(20261020)
+        on_end = {"lower": 0, "upper": 0}
+        through_zero = 0
+        for k in range(200):
+            gen = wide_exists_system(rng, m=1 + k % 3, n=2, kappa=1 + k // 3 % 3)
+            path = write_doc(tmp_path, f"doc{k}.json", generalized_document(gen))
+            res = rng.choice([5, 15] if k % 2 else [5, 12, 15])
+            half_x, half_y = (Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(2))
+            xs = self.centres(-half_x, half_x, res)
+            if k % 2:
+                y_bounds = [(-half_y, half_y)]
+                # Columns whose member set runs through the centre at x2 = 0.
+                through_zero += sum(any((lo is None or lo < 0) and (hi is None or 0 < hi)
+                                        for lo, hi in line_members(gen, (x1, 0), 1)) for x1 in xs)
+            else:
+                i = rng.randrange(res)
+                y_bounds = []
+                for pair in line_members(gen, (xs[i], 0), 1):
+                    for end, side in zip(pair, ("lower", "upper")):
+                        if end is not None:
+                            # Centre j of [ymin, ymin + 2 * half_y] is the end.
+                            j = rng.randrange(res)
+                            ymin = end - half_y * (2 * j + 1) / res
+                            y_bounds.append((ymin, ymin + 2 * half_y))
+                            assert self.centres(*y_bounds[-1], res)[j] == end
+                            on_end[side] += 1
+            evaluator = AbsFormEvaluator(gen)
+            for ymin, ymax in y_bounds:
+                ys = self.centres(ymin, ymax, res)
+                want = evaluator.member_many([(x1, x2) for x1 in xs for x2 in ys])
+                self.assert_scan_equals(["scan2d", "--system", path, f"--bounds={-half_x},{half_x},{ymin},{ymax}",
+                                         "--resolution", str(res)], xs, ys, want, capsys)
+        assert min(on_end.values()) >= 40 and through_zero >= 100, (on_end, through_zero)
 
     def test_zero_denominator_bounds(self, tmp_path, capsys):
         path = self.make_two_var_doc(tmp_path)

@@ -3,7 +3,9 @@
 The line solve only picks points: its interval ends are exact boundary
 points of the solution set, where ``<`` against ``<=`` decides the
 verdict.  On those ends and on their neighbours at distance 1/q, both
-closed forms must agree with "inside one of the intervals".
+closed forms must agree with "inside one of the intervals", and the
+batch evaluator and the flattened one-block form must agree with
+``member_absform``.
 """
 
 import random
@@ -13,12 +15,15 @@ import pytest
 
 from conftest import gen_1x1, imat, ivec, wide_exists_system
 from iqlin import (
+    AbsFormEvaluator,
     GeneralizedIQSystem,
     InstanceSpec,
     PointVector,
     line_members,
     member_absform,
     member_intervalform,
+    member_rohn,
+    prop2_flatten,
     random_instance,
 )
 
@@ -79,6 +84,46 @@ def test_boundary_points_of_seeded_systems():
     # both sides of many boundaries for the comparison to mean anything.
     assert inside_ends == ends
     assert ends > 250 and outside_neighbours > 250
+
+
+def test_boundary_points_other_deciders():
+    # At every exact end and its +-1/q neighbours, member_many and
+    # member_rohn on prop2_flatten equal member_absform.  Each batch also
+    # holds one point 1/2**64 past an end, whose column is beyond the int64
+    # bound, so it takes the rational fallback.
+    rng = random.Random(20261021)
+    batch_lanes = members = non_members = 0
+    for kappa in range(1, 5):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                spec = InstanceSpec(m=m, n=n, kappa=kappa, seed=rng.randrange(2 ** 31),
+                                    zero_prob=rng.choice([0.2, 0.5, 0.8]))
+                for gen in (random_instance(spec), wide_exists_system(rng, m, n, kappa)):
+                    points, over = [], None
+                    for _ in range(6):
+                        x = [draw_coordinate(rng) for _ in range(n)]
+                        axis = rng.randrange(n)
+                        for v in [v for pair in line_members(gen, x, axis) for v in pair if v is not None]:
+                            for w in (v, v - Fraction(1, _Q), v + Fraction(1, _Q)):
+                                points.append(list(x))
+                                points[-1][axis] = w
+                            if over is None:
+                                over = list(x)
+                                over[axis] = v + Fraction(1, 2 ** 64)
+                    if over is None:
+                        continue
+                    points.append(over)
+                    want = [member_absform(gen, p).member for p in points]
+                    evaluator = AbsFormEvaluator(gen)
+                    fits = evaluator._encode(points)[1]
+                    assert not fits[-1]
+                    batch_lanes += int(fits.sum())
+                    assert evaluator.member_many(points) == want, gen
+                    flat = prop2_flatten(gen)
+                    assert [member_rohn(flat, p).member for p in points] == want, gen
+                    members += sum(want)
+                    non_members += len(want) - sum(want)
+    assert batch_lanes > 1000 and members > 500 and non_members > 400
 
 
 def test_one_point_interval():
