@@ -407,6 +407,11 @@ class TestScan2d:
                 assert capsys.readouterr().out.encode("utf-8") == (golden / f"{name}.scan.{fmt}").read_bytes()
 
     @staticmethod
+    def centres(lo, hi, res):
+        """The res cell centres of [lo, hi], as scan2d places them."""
+        return [lo + (hi - lo) * (2 * j + 1) / (2 * res) for j in range(res)]
+
+    @staticmethod
     def assert_scan_equals(argv, xs, ys, want, capsys):
         """The CSV flags and the SVG cells of the scan equal want, the flags of (x1, x2) for x1 in xs, x2 in ys."""
         res = len(xs)
@@ -438,17 +443,12 @@ class TestScan2d:
             path = write_doc(tmp_path, f"doc{k}.json", generalized_document(gen))
             bounds = rng.choice(["-4,4,-4,4", "-2,6,-5,3", "-1/3,2/3,-7,1"])
             xmin, xmax, ymin, ymax = map(Fraction, bounds.split(","))
-            xs = [xmin + (xmax - xmin) * (2 * i + 1) / (2 * res) for i in range(res)]
-            ys = [ymin + (ymax - ymin) * (2 * j + 1) / (2 * res) for j in range(res)]
+            xs, ys = self.centres(xmin, xmax, res), self.centres(ymin, ymax, res)
             want = AbsFormEvaluator(gen).member_many([(x1, x2) for x1 in xs for x2 in ys])
             self.assert_scan_equals(["scan2d", "--system", path, f"--bounds={bounds}", "--resolution", str(res)],
                                     xs, ys, want, capsys)
             mixed += 0 < sum(want) < res * res
         assert mixed >= 60
-
-    @staticmethod
-    def centres(lo, hi, res):
-        return [lo + (hi - lo) * (2 * j + 1) / (2 * res) for j in range(res)]
 
     def test_centres_on_exact_ends(self, tmp_path, capsys):
         # The y-bounds put a cell centre exactly on an end of a column's
