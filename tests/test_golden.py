@@ -1,8 +1,10 @@
 """CLI output on the criterion-9 corpus, compared byte for byte with stored files.
 
 The corpus is the six generated systems of
-``test_criterion_9_cli_golden_behavior`` (same seeds and shapes).  For
-each system the stored files under ``tests/golden/`` hold the ``gen``
+``test_criterion_9_cli_golden_behavior`` (same seeds and shapes) and
+``sys54``, a two-block 2x2 system whose member set crosses x2 = 0 inside
+the scan box, so its scans hold member cells on both sides of x2 = 0
+and, at the odd resolution, on it.  For each system the stored files under ``tests/golden/`` hold the ``gen``
 document, the stdout of ``check`` at the criterion's point, of
 ``decompose`` and of ``convert --target ae-flatten``; for the
 two-unknown systems also the ``scan2d`` CSV and SVG at
@@ -29,7 +31,7 @@ from iqlin.cli import EXIT_NOT_MEMBER, EXIT_OK, main
 from iqlin.oracle import random_point
 
 GOLDEN = Path(__file__).with_name("golden")
-CORPUS = ((1, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 2), (4, 2, 1, 2), (5, 1, 1, 3), (6, 2, 2, 2))
+CORPUS = ((1, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 2), (4, 2, 1, 2), (5, 1, 1, 3), (6, 2, 2, 2), (54, 2, 2, 2))
 SCAN = ["--bounds=-2,2,-2,2", "--resolution", "16"]
 SCAN_CORNERS = {
     "res1": ["--bounds=-2,2,-2,2", "--resolution", "1"],
