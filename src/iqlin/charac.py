@@ -31,11 +31,12 @@ sets (``member_shary`` / ``member_rohn``), with the united, tolerable
 and controllable solution sets as the familiar special cases.
 
 The constructive conversions are here too: an absolute-value inequality
-system |Cx - c| <= D|x| + d is realized as an AE system
-(``prop1_construct``), and a kappa-block system flattens into a
-stacked (kappa*m)-row AE system with identical solution set
-(``prop2_flatten``); at kappa = 1 that is the reduction of a
-one-block pair system (``corollary1_construct``).
+system |Cx - c| <= D|x| + d is realized as a one-block system, each
+box in the forall slot where its coefficient is negative and in the
+exists slot otherwise (``prop1_construct``), and a kappa-block system
+flattens into a stacked (kappa*m)-row one-block system with identical
+solution set (``prop2_flatten``); at kappa = 1 that is the reduction of
+a one-block pair system (``corollary1_construct``).
 
 Failure diagnostics are deterministic: verdicts report the first
 violated condition, checking prefix-sum levels in ascending order and
@@ -47,10 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, attrgetter, gt, mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from .ivcore import (
     Interval,
@@ -63,15 +63,7 @@ from .ivcore import (
     rational_matrix,
     rational_vector,
 )
-from .prefix import (
-    ClassicIQSystem,
-    GeneralizedIQSystem,
-    Quantifier,
-    QuantifierPrefix,
-    build_tuples,
-    matrix_param,
-    rhs_param,
-)
+from .prefix import GeneralizedIQSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -339,98 +331,44 @@ def member_rohn_blocks(
     return _MEMBER
 
 
-@dataclass(frozen=True)
-class AESystem:
-    """An interval system with one quantifier per parameter, all-foralls-outside.
-
-    ``alpha`` assigns a quantifier to each matrix entry, ``beta`` to
-    each rhs entry.  The induced forall/exists split substitutes the
-    zero point [0, 0] for entries bound by the other quantifier.
-    """
-
-    A: IntervalMatrix
-    b: IntervalVector
-    alpha: tuple  # tuple[tuple[Quantifier, ...], ...], shape m x n
-    beta: tuple   # tuple[Quantifier, ...], length m
-
-    def __init__(self, A: IntervalMatrix, b: IntervalVector,
-                 alpha: Iterable[Sequence[Quantifier]], beta: Iterable[Quantifier]) -> None:
-        m, n = A.shape
-        alpha_t = tuple(tuple(row) for row in alpha)
-        beta_t = tuple(beta)
-        if len(b) != m:
-            raise ValueError("rhs length must match matrix row count")
-        if len(alpha_t) != m or any(len(row) != n for row in alpha_t):
-            raise ValueError("alpha must have the matrix shape")
-        if len(beta_t) != m:
-            raise ValueError("beta must have the rhs length")
-        for row in alpha_t:
-            for q in row:
-                if not isinstance(q, Quantifier):
-                    raise TypeError("alpha entries must be Quantifier")
-        for q in beta_t:
-            if not isinstance(q, Quantifier):
-                raise TypeError("beta entries must be Quantifier")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "alpha", alpha_t)
-        object.__setattr__(self, "beta", beta_t)
-
-    @classmethod
-    def uniform(cls, A: IntervalMatrix, b: IntervalVector,
-                matrix_quant: Quantifier, rhs_quant: Quantifier) -> "AESystem":
-        m, n = A.shape
-        return cls(A, b, [[matrix_quant] * n for _ in range(m)], [rhs_quant] * m)
-
-    @property
-    def shape(self) -> tuple:
-        return self.A.shape
-
-    def split(self) -> tuple:
-        """(A_forall, A_exists, b_forall, b_exists) with zero points in the off slots."""
-        return self._split
-
-    @cached_property
-    def _split(self) -> tuple:
-        # Universals bound outermost make one A*E* block, so block 1 is the whole split.
-        return build_tuples(ae_as_classic(self)).block(1)
+def _one_block(gen: GeneralizedIQSystem) -> tuple:
+    if gen.kappa != 1:
+        raise ValueError(f"expected a one-block system, got kappa = {gen.kappa}")
+    return gen.block(1)
 
 
-def ae_as_classic(ae: AESystem) -> ClassicIQSystem:
-    """An AE system as a classic document: universals outermost, row-major."""
-    m, n = ae.shape
-    bindings = []
-    for want in (Quantifier.FORALL, Quantifier.EXISTS):
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if ae.alpha[i - 1][j - 1] is want:
-                    bindings.append((matrix_param(i, j), want))
-            if ae.beta[i - 1] is want:
-                bindings.append((rhs_param(i), want))
-    return ClassicIQSystem(ae.A, ae.b, QuantifierPrefix(m, n, bindings))
+def member_shary(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
+    """Shary inclusion on a one-block system; ValueError when kappa != 1."""
+    return member_shary_blocks(*_one_block(gen), x)
 
 
-def member_shary(ae: AESystem, x: PointLike) -> MembershipVerdict:
-    return member_shary_blocks(*ae.split(), x)
+def member_rohn(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
+    """Rohn's midpoint-radius bound on a one-block system; ValueError when kappa != 1."""
+    return member_rohn_blocks(*_one_block(gen), x)
 
 
-def member_rohn(ae: AESystem, x: PointLike) -> MembershipVerdict:
-    return member_rohn_blocks(*ae.split(), x)
+def _zeros(b: IntervalVector, n: int) -> tuple:
+    """The zero matrix and zero vector of a system with rhs b and n unknowns."""
+    zero = Interval.zero()
+    return IntervalMatrix([[zero] * n for _ in b]), IntervalVector([zero] * len(b))
 
 
 def member_united(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Some matrix in A and some rhs in b solve exactly at x."""
-    return member_rohn(AESystem.uniform(A, b, Quantifier.EXISTS, Quantifier.EXISTS), x)
+    zero_a, zero_b = _zeros(b, A.shape[1])
+    return member_rohn_blocks(zero_a, A, zero_b, b, x)
 
 
 def member_tolerable(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Every matrix in A lands Ax inside b (for a suitable rhs per matrix)."""
-    return member_rohn(AESystem.uniform(A, b, Quantifier.FORALL, Quantifier.EXISTS), x)
+    zero_a, zero_b = _zeros(b, A.shape[1])
+    return member_rohn_blocks(A, zero_a, zero_b, b, x)
 
 
 def member_controllable(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Every rhs in b is reached by some matrix in A at x."""
-    return member_rohn(AESystem.uniform(A, b, Quantifier.EXISTS, Quantifier.FORALL), x)
+    zero_a, zero_b = _zeros(b, A.shape[1])
+    return member_rohn_blocks(zero_a, A, b, zero_b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -481,33 +419,25 @@ def member_absineq(sys: AbsIneqSystem, x: PointLike) -> MembershipVerdict:
     return _MEMBER
 
 
-def prop1_construct(sys: AbsIneqSystem) -> AESystem:
-    """Realize |Cx - c| <= D|x| + d as an AE system with identical solution set.
+def prop1_construct(sys: AbsIneqSystem) -> GeneralizedIQSystem:
+    """Realize |Cx - c| <= D|x| + d as a one-block system with identical solution set.
 
-    The interval data is the center-radius box [C - |D|, C + |D|],
-    [c - |d|, c + |d|]; an entry is existential when its D (resp. d)
-    coefficient is >= 0 and universal when negative, so the split radii
-    recover the positive and negative parts of D and d.
+    Each entry is the center-radius box [C - |D|, C + |D|] (resp.
+    [c - |d|, c + |d|]); it sits in the forall slot when its D (resp. d)
+    coefficient is negative and in the exists slot otherwise, so the
+    split radii recover the positive and negative parts of D and d.
     """
-    m, n = sys.shape
-    rows = []
-    alpha = []
-    for i in range(m):
-        row = []
-        arow = []
-        for j in range(n):
-            spread = abs(sys.D[i][j])
-            row.append(Interval(sys.C[i][j] - spread, sys.C[i][j] + spread))
-            arow.append(Quantifier.EXISTS if sys.D[i][j] >= _ZERO else Quantifier.FORALL)
-        rows.append(row)
-        alpha.append(arow)
-    bvec = []
-    beta = []
-    for i in range(m):
-        spread = abs(sys.d[i])
-        bvec.append(Interval(sys.c[i] - spread, sys.c[i] + spread))
-        beta.append(Quantifier.EXISTS if sys.d[i] >= _ZERO else Quantifier.FORALL)
-    return AESystem(IntervalMatrix(rows), IntervalVector(bvec), alpha, beta)
+    zero = Interval.zero()
+
+    def slots(center: Rational, coeff: Rational) -> tuple:
+        box = Interval(center - abs(coeff), center + abs(coeff))
+        return (box, zero) if coeff < _ZERO else (zero, box)
+
+    a = [list(map(slots, c_row, d_row)) for c_row, d_row in zip(sys.C, sys.D)]
+    b = list(map(slots, sys.c, sys.d))
+    a_fa, a_ex = (IntervalMatrix([[pair[k] for pair in row] for row in a]) for k in (0, 1))
+    b_fa, b_ex = (IntervalVector([pair[k] for pair in b]) for k in (0, 1))
+    return GeneralizedIQSystem((a_fa,), (a_ex,), (b_fa,), (b_ex,))
 
 
 def corollary1_construct(
@@ -515,8 +445,8 @@ def corollary1_construct(
     a_ex: IntervalMatrix,
     b_fa: IntervalVector,
     b_ex: IntervalVector,
-) -> AESystem:
-    """AE system equivalent to a one-block pair system.
+) -> GeneralizedIQSystem:
+    """The one-block system of ``prop1_construct`` equivalent to a one-block pair system.
 
     This is ``prop2_flatten`` at kappa = 1: C = mid A' + mid A'',
     D = rad A'' - rad A', c = mid b' + mid b'', d = rad b'' - rad b'
@@ -526,13 +456,13 @@ def corollary1_construct(
     return prop2_flatten(GeneralizedIQSystem((a_fa,), (a_ex,), (b_fa,), (b_ex,)))
 
 
-def prop2_flatten(gen: GeneralizedIQSystem) -> AESystem:
-    """Flatten a kappa-block system into a (kappa*m)-row AE system.
+def prop2_flatten(gen: GeneralizedIQSystem) -> GeneralizedIQSystem:
+    """Flatten a kappa-block system into a (kappa*m)-row one-block system.
 
     The first kappa-1 row groups encode the radius prefix-sum
     inequalities (zero centers), the last group the full center bound;
-    ``prop1_construct`` then turns the stacked |Cx - c| <= D|x| + d
-    into quantified interval data.  Membership in the result matches
+    ``prop1_construct`` then places the stacked |Cx - c| <= D|x| + d
+    in forall and exists slots.  Membership in the result matches
     ``member_absform`` on the input for every point.  The rows are the
     compiled doubled rows divided by 2 * denom.
     """

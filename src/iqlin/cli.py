@@ -46,7 +46,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .charac import (
     AbsIneqSystem,
-    ae_as_classic,
     line_solver,
     member_absform,
     member_absineq,
@@ -66,6 +65,7 @@ from .prefix import (
     build_tuples,
     format_prefix,
     parse_prefix_text,
+    recompose_prefix,
     validate_disjoint,
 )
 
@@ -414,24 +414,25 @@ def cmd_convert(args: argparse.Namespace) -> Tuple[int, str]:
     system = load_system(args.system)
     if args.target == "ae-flatten":
         gen = as_generalized(system)
-        ae = prop2_flatten(gen)
+        flat = prop2_flatten(gen)
         source_member = partial(member_absform, gen)
     else:
         if not isinstance(system, AbsIneqSystem):
             raise CliError("from-absineq expects an absineq system document")
-        ae = prop1_construct(system)
+        flat = prop1_construct(system)
         source_member = partial(member_absineq, system)
     # Spot check: source and target agree on 10 seeded points before any output.
-    n = ae.shape[1]
+    n = flat.shape[1]
     rng = random.Random(20240 + n)
     for _ in range(10):
         point = random_point(n, rng, magnitude=8, max_denominator=8)
-        if source_member(point).member != member_rohn(ae, point).member:
+        if source_member(point).member != member_rohn(flat, point).member:
             raise CliError(
                 f"conversion spot check failed at {point}; refusing to write output",
                 code=EXIT_CROSS_CHECK,
             )
-    return EXIT_OK, json.dumps(classic_document(ae_as_classic(ae)), indent=2) + "\n"
+    classic = ClassicIQSystem(flat.summed_a(), flat.summed_b(), recompose_prefix(flat))
+    return EXIT_OK, json.dumps(classic_document(classic), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

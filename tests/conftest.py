@@ -16,6 +16,7 @@ from typing import List, Tuple
 import pytest
 
 from iqlin import (
+    AbsIneqSystem,
     ClassicIQSystem,
     GeneralizedIQSystem,
     Interval,
@@ -132,6 +133,58 @@ def random_classic(rng: random.Random, m: int, n: int, zero_prob: float = 0.0,
 # ---------------------------------------------------------------------------
 # Independent reference oracles
 # ---------------------------------------------------------------------------
+
+
+def ref_prop2_absineq(gen: GeneralizedIQSystem) -> AbsIneqSystem:
+    """The stacked |Cx - c| <= D|x| + d of Prop. 2, entry by entry from mid() and rad()."""
+    m, n = gen.shape
+    kappa = gen.kappa
+    C, D, c, d = [], [], [], []
+    dmat = [[rat(0)] * n for _ in range(m)]
+    dvec = [rat(0)] * m
+    for level in range(1, kappa + 1):
+        af, ae, bf, be = gen.block(level)
+        for i in range(m):
+            for j in range(n):
+                dmat[i][j] += ae.entry(i, j).rad() - af.entry(i, j).rad()
+            dvec[i] += be[i].rad() - bf[i].rad()
+        if level < kappa:
+            for i in range(m):
+                C.append([rat(0)] * n)
+                D.append(list(dmat[i]))
+                c.append(rat(0))
+                d.append(dvec[i])
+    for i in range(m):
+        crow = [rat(0)] * n
+        ci = rat(0)
+        for s in range(1, kappa + 1):
+            af, ae, bf, be = gen.block(s)
+            for j in range(n):
+                crow[j] += af.entry(i, j).mid() + ae.entry(i, j).mid()
+            ci += bf[i].mid() + be[i].mid()
+        C.append(crow)
+        D.append(list(dmat[i]))
+        c.append(ci)
+        d.append(dvec[i])
+    return AbsIneqSystem(C, D, c, d)
+
+
+def ref_corollary1_absineq(a_fa, a_ex, b_fa, b_ex) -> AbsIneqSystem:
+    """The |Cx - c| <= D|x| + d of Corollary 1 for a one-block pair system."""
+    m, n = a_fa.shape
+    if a_ex.shape != (m, n) or len(b_fa) != m or len(b_ex) != m:
+        raise ValueError("pair system blocks must share one shape")
+    C = [
+        [a_fa.entry(i, j).mid() + a_ex.entry(i, j).mid() for j in range(n)]
+        for i in range(m)
+    ]
+    D = [
+        [a_ex.entry(i, j).rad() - a_fa.entry(i, j).rad() for j in range(n)]
+        for i in range(m)
+    ]
+    c = [b_fa[i].mid() + b_ex[i].mid() for i in range(m)]
+    d = [b_ex[i].rad() - b_fa[i].rad() for i in range(m)]
+    return AbsIneqSystem(C, D, c, d)
 
 
 def brute_valid_cut_sets(word: str) -> List[Tuple[int, ...]]:

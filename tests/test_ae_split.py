@@ -1,9 +1,13 @@
-"""Differential test: the AE split and prefix against explicit slot loops.
+"""Differential test: the one-block conversions against explicit slot loops.
 
-``AESystem.split`` reads its forall/exists blocks off ``build_tuples``
-applied to ``ae_as_classic``.  The references below place each entry by
-its own quantifier, entry by entry, and list the prefix directly, so a
-change to either library path shows up as a mismatch here.
+``prop1_construct`` (and through it ``prop2_flatten`` and
+``corollary1_construct``) puts each box in the forall or the exists slot
+of one block, and ``recompose_prefix`` lists the result as a classic
+prefix.  The references below place each box by the sign of its own D or
+d coefficient, entry by entry, and list the prefix directly, universals
+first, so a change to either library path shows up as a mismatch here.
+The one-block deciders are checked against the block forms on
+``build_tuples`` of a classic document with a uniform prefix.
 """
 
 import random
@@ -11,64 +15,84 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import imat, ivec, random_interval
+from conftest import imat, ivec, random_interval, ref_corollary1_absineq, ref_prop2_absineq
 from iqlin import (
     AbsIneqSystem,
-    AESystem,
     ClassicIQSystem,
+    GeneralizedIQSystem,
     InstanceSpec,
     Interval,
     IntervalMatrix,
     IntervalVector,
     Quantifier,
     QuantifierPrefix,
+    build_tuples,
     corollary1_construct,
     matrix_param,
+    member_controllable,
+    member_rohn,
+    member_rohn_blocks,
+    member_shary,
+    member_shary_blocks,
+    member_tolerable,
+    member_united,
     prop1_construct,
     prop2_flatten,
     random_instance,
+    random_point,
+    rat,
+    recompose_prefix,
     rhs_param,
 )
-from iqlin.charac import ae_as_classic
+
+A, E = Quantifier.FORALL, Quantifier.EXISTS
 
 
-def ref_split(ae: AESystem) -> tuple:
-    m, n = ae.A.shape
+def quantifier(coeff) -> Quantifier:
+    return A if coeff < 0 else E
+
+
+def ref_slots(sys: AbsIneqSystem) -> GeneralizedIQSystem:
+    m, n = sys.shape
     zero = Interval.zero()
     fa = [[zero] * n for _ in range(m)]
     ex = [[zero] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if ae.alpha[i][j] is Quantifier.FORALL:
-                fa[i][j] = ae.A.entry(i, j)
-            else:
-                ex[i][j] = ae.A.entry(i, j)
     bfa = [zero] * m
     bex = [zero] * m
     for i in range(m):
-        if ae.beta[i] is Quantifier.FORALL:
-            bfa[i] = ae.b[i]
+        for j in range(n):
+            spread = abs(sys.D[i][j])
+            box = Interval(sys.C[i][j] - spread, sys.C[i][j] + spread)
+            if sys.D[i][j] < 0:
+                fa[i][j] = box
+            else:
+                ex[i][j] = box
+        spread = abs(sys.d[i])
+        box = Interval(sys.c[i] - spread, sys.c[i] + spread)
+        if sys.d[i] < 0:
+            bfa[i] = box
         else:
-            bex[i] = ae.b[i]
-    return (IntervalMatrix(fa), IntervalMatrix(ex), IntervalVector(bfa), IntervalVector(bex))
+            bex[i] = box
+    return GeneralizedIQSystem([IntervalMatrix(fa)], [IntervalMatrix(ex)],
+                               [IntervalVector(bfa)], [IntervalVector(bex)])
 
 
-def ref_ae_as_classic(ae: AESystem) -> ClassicIQSystem:
-    m, n = ae.shape
+def ref_prefix(sys: AbsIneqSystem) -> QuantifierPrefix:
+    m, n = sys.shape
     bindings = []
-    for want in (Quantifier.FORALL, Quantifier.EXISTS):
+    for want in (A, E):
         for i in range(1, m + 1):
             for j in range(1, n + 1):
-                if ae.alpha[i - 1][j - 1] is want:
+                if quantifier(sys.D[i - 1][j - 1]) is want:
                     bindings.append((matrix_param(i, j), want))
-            if ae.beta[i - 1] is want:
+            if quantifier(sys.d[i - 1]) is want:
                 bindings.append((rhs_param(i), want))
-    return ClassicIQSystem(ae.A, ae.b, QuantifierPrefix(m, n, bindings))
+    return QuantifierPrefix(m, n, bindings)
 
 
-def assert_matches_reference(ae: AESystem) -> None:
-    assert ae.split() == ref_split(ae), ae
-    assert ae_as_classic(ae) == ref_ae_as_classic(ae), ae
+def assert_matches_reference(sys: AbsIneqSystem, flat: GeneralizedIQSystem) -> None:
+    assert flat == ref_slots(sys), sys
+    assert recompose_prefix(flat) == ref_prefix(sys), sys
 
 
 def _prop1_outputs(rng: random.Random, count: int):
@@ -81,14 +105,16 @@ def _prop1_outputs(rng: random.Random, count: int):
         def rvec():
             return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
 
-        yield prop1_construct(AbsIneqSystem(rmat(), rmat(), rvec(), rvec()))
+        sys = AbsIneqSystem(rmat(), rmat(), rvec(), rvec())
+        yield sys, prop1_construct(sys)
 
 
 def _prop2_outputs(rng: random.Random, count: int):
     for seed in range(count):
         spec = InstanceSpec(m=rng.randint(1, 3), n=rng.randint(1, 3), kappa=rng.randint(1, 4),
                             seed=seed, zero_prob=rng.choice((0.0, 0.4, 1.0)))
-        yield prop2_flatten(random_instance(spec))
+        gen = random_instance(spec)
+        yield ref_prop2_absineq(gen), prop2_flatten(gen)
 
 
 def _corollary1_outputs(rng: random.Random, count: int):
@@ -101,30 +127,46 @@ def _corollary1_outputs(rng: random.Random, count: int):
         def rvec():
             return IntervalVector([random_interval(rng, zero_prob=0.3) for _ in range(m)])
 
-        yield corollary1_construct(rmat(), rmat(), rvec(), rvec())
+        blocks = (rmat(), rmat(), rvec(), rvec())
+        yield ref_corollary1_absineq(*blocks), corollary1_construct(*blocks)
 
 
 @pytest.mark.parametrize("outputs", [_prop1_outputs, _prop2_outputs, _corollary1_outputs],
                          ids=["prop1", "prop2", "corollary1"])
 def test_constructed_systems(outputs):
-    for ae in outputs(random.Random(20261018), 300):
-        assert_matches_reference(ae)
+    for sys, flat in outputs(random.Random(20261018), 300):
+        assert_matches_reference(sys, flat)
+
+
+# The named one-block sets by their (matrix, rhs) quantifiers.
+NAMED = {(E, E): member_united, (A, E): member_tolerable, (E, A): member_controllable}
+
+
+def uniform_classic(A_: IntervalMatrix, b: IntervalVector, matrix_quant, rhs_quant) -> ClassicIQSystem:
+    """A and b under one quantifier each, universals outermost, so one A*E* block."""
+    m, n = A_.shape
+    bindings = [(matrix_param(i, j), matrix_quant) for i in range(1, m + 1) for j in range(1, n + 1)]
+    bindings += [(rhs_param(i), rhs_quant) for i in range(1, m + 1)]
+    bindings.sort(key=lambda binding: binding[1] is E)
+    return ClassicIQSystem(A_, b, QuantifierPrefix(m, n, bindings))
 
 
 @pytest.mark.parametrize("matrix_quant", list(Quantifier), ids=str)
 @pytest.mark.parametrize("rhs_quant", list(Quantifier), ids=str)
 def test_uniform_with_zero_entries(matrix_quant, rhs_quant):
     rng = random.Random(7)
+    named = NAMED.get((matrix_quant, rhs_quant))
+    systems = []
     for _ in range(50):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
-        A = IntervalMatrix([[random_interval(rng, zero_prob=0.5) for _ in range(n)] for _ in range(m)])
-        b = IntervalVector([random_interval(rng, zero_prob=0.5) for _ in range(m)])
-        assert_matches_reference(AESystem.uniform(A, b, matrix_quant, rhs_quant))
-    zero = AESystem.uniform(imat([[(0, 0)] * 3] * 2), ivec([(0, 0)] * 2), matrix_quant, rhs_quant)
-    assert_matches_reference(zero)
-
-
-def test_split_is_computed_once():
-    ae = AESystem.uniform(IntervalMatrix([[Interval(1, 2)]]), IntervalVector([Interval(3, 4)]),
-                          Quantifier.FORALL, Quantifier.EXISTS)
-    assert ae.split() is ae.split()
+        systems.append((IntervalMatrix([[random_interval(rng, zero_prob=0.5) for _ in range(n)] for _ in range(m)]),
+                        IntervalVector([random_interval(rng, zero_prob=0.5) for _ in range(m)])))
+    systems.append((imat([[(0, 0)] * 3] * 2), ivec([(0, 0)] * 2)))
+    for A_, b in systems:
+        gen = build_tuples(uniform_classic(A_, b, matrix_quant, rhs_quant))
+        blocks = gen.block(1)
+        for x in [random_point(A_.shape[1], rng) for _ in range(4)] + [[rat(0)] * A_.shape[1]]:
+            assert member_shary(gen, x) == member_shary_blocks(*blocks, x)
+            assert member_rohn(gen, x) == member_rohn_blocks(*blocks, x)
+            if named is not None:
+                assert named(A_, b, x) == member_rohn_blocks(*blocks, x)

@@ -7,14 +7,12 @@ import pytest
 from iqlin import (
     AbsFormEvaluator,
     AbsIneqSystem,
-    AESystem,
     ConditionKind,
     GeneralizedIQSystem,
     Interval,
     IntervalMatrix,
     IntervalVector,
     Outcome,
-    Quantifier,
     build_tuples,
     corollary1_construct,
     game_oracle,
@@ -44,8 +42,6 @@ from conftest import (
     random_classic,
     random_interval,
 )
-
-A, E = Quantifier.FORALL, Quantifier.EXISTS
 
 
 def united_gen(a, b):
@@ -318,39 +314,42 @@ class TestEquivalences:
 
 
 class TestAESystem:
+    """One-block (AE) systems: the forall/exists slots of block 1 and its deciders."""
+
     def test_split_is_disjoint_partition(self):
-        ae = AESystem(
-            imat([[(1, 2), (3, 4)]]), ivec([(5, 6)]),
-            [[A, E]], [E],
-        )
-        fa, ex, bfa, bex = ae.split()
+        # D < 0 puts the box [1, 2] in the forall slot; D, d > 0 put [3, 4], [5, 6] in exists.
+        sys = AbsIneqSystem([["3/2", "7/2"]], [["-1/2", "1/2"]], ["11/2"], ["1/2"])
+        fa, ex, bfa, bex = prop1_construct(sys).block(1)
         assert fa.entry(0, 0) == ivl(1, 2) and ex.entry(0, 0).is_zero()
         assert ex.entry(0, 1) == ivl(3, 4) and fa.entry(0, 1).is_zero()
         assert bex[0] == ivl(5, 6) and bfa[0].is_zero()
-        assert fa + ex == ae.A
+        assert fa + ex == imat([[(1, 2), (3, 4)]])
 
     def test_shary_rohn_agree_on_degenerate_system(self):
-        ae = AESystem.uniform(imat([[(3, 3)]]), ivec([(6, 6)]), A, E)
+        gen = gen_1x1(a_fa=(3, 3), b_ex=(6, 6))
         for x, want in (("2", True), ("1", False)):
-            assert member_shary(ae, [x]).member is want
-            assert member_rohn(ae, [x]).member is want
+            assert member_shary(gen, [x]).member is want
+            assert member_rohn(gen, [x]).member is want
 
     def test_verdict_tags(self):
-        ae = AESystem.uniform(imat([[(2, 4)]]), ivec([(6, 8)]), E, E)
-        v1 = member_shary(ae, ["1"])
+        gen = united_gen((2, 4), (6, 8))
+        v1 = member_shary(gen, ["1"])
         assert v1.violated.kind is ConditionKind.SHARY_INCLUSION
-        v2 = member_rohn(ae, ["1"])
+        v2 = member_rohn(gen, ["1"])
         assert v2.violated.kind is ConditionKind.ROHN_BOUND
+
+    @pytest.mark.parametrize("decide", [member_shary, member_rohn], ids=["shary", "rohn"])
+    def test_two_blocks_refused(self, decide):
+        with pytest.raises(ValueError, match="kappa = 2"):
+            decide(outer_exists_system(), ["0"])
 
 
 class TestProp1:
     def test_worked_example(self):
         sys = AbsIneqSystem([["3"]], [["-1"]], ["5"], ["2"])
         ae = prop1_construct(sys)
-        assert ae.A == imat([[(2, 4)]])
-        assert ae.alpha == ((A,),)
-        assert ae.b == ivec([(3, 7)])
-        assert ae.beta == (E,)
+        # D = -1 puts [2, 4] in the forall slot, d = 2 puts [3, 7] in exists.
+        assert ae.block(1) == (imat([[(2, 4)]]), imat([[(0, 0)]]), ivec([(0, 0)]), ivec([(3, 7)]))
         x = ["3/2"]
         assert member_absineq(sys, x).member
         assert member_rohn(ae, x).member
@@ -368,10 +367,9 @@ class TestProp1:
             assert member_rohn(ae, [x]).member
 
     def test_zero_coefficient_ties_to_exists(self):
-        sys = AbsIneqSystem([[1]], [[0]], [0], [0])
+        sys = AbsIneqSystem([[1]], [[0]], [2], [0])
         ae = prop1_construct(sys)
-        assert ae.alpha == ((E,),)
-        assert ae.beta == (E,)
+        assert ae.block(1) == (imat([[(0, 0)]]), imat([[(1, 1)]]), ivec([(0, 0)]), ivec([(2, 2)]))
 
     def test_equivalence_property(self, rng):
         for k in range(250):
@@ -430,17 +428,14 @@ class TestCorollary1:
 class TestProp2:
     def test_two_block_worked_example(self):
         ae = prop2_flatten(outer_exists_system())
-        assert ae.shape == (2, 1)
+        assert ae.shape == (2, 1) and ae.kappa == 1
+        fa, ex, bfa, bex = ae.block(1)
         # Level row: radius slack -1/2 |x|, center zero, universal matrix entry.
-        assert ae.A.entry(0, 0) == ivl("-1/2", "1/2")
-        assert ae.alpha[0][0] is A
-        assert ae.b[0] == ivl(0, 0)
-        assert ae.beta[0] is E
+        assert fa.entry(0, 0) == ivl("-1/2", "1/2") and ex.entry(0, 0).is_zero()
+        assert bex[0] == ivl(0, 0) and bfa[0].is_zero()
         # Center row: [1, 2] universal, rhs [-1, 1] existential.
-        assert ae.A.entry(1, 0) == ivl(1, 2)
-        assert ae.alpha[1][0] is A
-        assert ae.b[1] == ivl(-1, 1)
-        assert ae.beta[1] is E
+        assert fa.entry(1, 0) == ivl(1, 2) and ex.entry(1, 0).is_zero()
+        assert bex[1] == ivl(-1, 1) and bfa[1].is_zero()
         for x in ("0", "1/4", "-1/2", "1"):
             assert member_rohn(ae, [x]).member == (rat(x) == 0)
 

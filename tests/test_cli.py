@@ -32,7 +32,6 @@ from iqlin.cli import (
     MAX_NODE_CAP,
     MAX_ORACLE_GRID,
     MAX_SCAN_RESOLUTION,
-    ae_as_classic,
     as_generalized,
     classic_document,
     generalized_document,
@@ -40,7 +39,7 @@ from iqlin.cli import (
     main,
     parse_system,
 )
-from iqlin.prefix import ClassicIQSystem, GeneralizedIQSystem
+from iqlin.prefix import ClassicIQSystem, GeneralizedIQSystem, recompose_prefix
 from conftest import gen_1x1, imat, ivec, outer_exists_system, random_classic, wide_exists_system
 
 UNITED_DOC = {
@@ -170,10 +169,9 @@ class TestDocumentFormat:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "exponent" in captured.err
 
-    def test_ae_as_classic_round_trip(self):
-        gen = outer_exists_system()
-        ae = prop2_flatten(gen)
-        classic = ae_as_classic(ae)
+    def test_convert_output_round_trip(self):
+        flat = prop2_flatten(outer_exists_system())
+        classic = ClassicIQSystem(flat.summed_a(), flat.summed_b(), recompose_prefix(flat))
         doc = classic_document(classic)
         assert parse_system(json.loads(json.dumps(doc), parse_float=Fraction)) == classic
 

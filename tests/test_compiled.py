@@ -1,9 +1,9 @@
 """Differential tests: compiled integer closed forms against rational references.
 
-The reference implementations below evaluate both closed forms, the
-Prop. 2 flattening and Corollary 1 directly in rational arithmetic,
-entry by entry, from the interval data (``mid()``, ``rad()`` and
-interval matrix products).  Every compiled path must return the same verdict, including
+The reference implementations below evaluate both closed forms, and
+those in ``conftest`` the Prop. 2 flattening and Corollary 1, directly
+in rational arithmetic, entry by entry, from the interval data
+(``mid()``, ``rad()`` and interval matrix products).  Every compiled path must return the same verdict, including
 the first violated condition.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_1x1, imat, ivec
+from conftest import gen_1x1, imat, ivec, ref_corollary1_absineq, ref_prop2_absineq
 from iqlin import (
     AbsFormEvaluator,
     AbsIneqSystem,
@@ -121,56 +121,6 @@ def ref_absform(gen, pv: PointVector) -> MembershipVerdict:
     return _MEMBER
 
 
-def ref_prop2_flatten(gen):
-    m, n = gen.shape
-    kappa = gen.kappa
-    C, D, c, d = [], [], [], []
-    dmat = [[_ZERO] * n for _ in range(m)]
-    dvec = [_ZERO] * m
-    for level in range(1, kappa + 1):
-        af, ae, bf, be = gen.block(level)
-        for i in range(m):
-            for j in range(n):
-                dmat[i][j] += ae.entry(i, j).rad() - af.entry(i, j).rad()
-            dvec[i] += be[i].rad() - bf[i].rad()
-        if level < kappa:
-            for i in range(m):
-                C.append([_ZERO] * n)
-                D.append(list(dmat[i]))
-                c.append(_ZERO)
-                d.append(dvec[i])
-    for i in range(m):
-        crow = [_ZERO] * n
-        ci = _ZERO
-        for s in range(1, kappa + 1):
-            af, ae, bf, be = gen.block(s)
-            for j in range(n):
-                crow[j] += af.entry(i, j).mid() + ae.entry(i, j).mid()
-            ci += bf[i].mid() + be[i].mid()
-        C.append(crow)
-        D.append(list(dmat[i]))
-        c.append(ci)
-        d.append(dvec[i])
-    return prop1_construct(AbsIneqSystem(C, D, c, d))
-
-
-def ref_corollary1(a_fa, a_ex, b_fa, b_ex):
-    m, n = a_fa.shape
-    if a_ex.shape != (m, n) or len(b_fa) != m or len(b_ex) != m:
-        raise ValueError("pair system blocks must share one shape")
-    C = [
-        [a_fa.entry(i, j).mid() + a_ex.entry(i, j).mid() for j in range(n)]
-        for i in range(m)
-    ]
-    D = [
-        [a_ex.entry(i, j).rad() - a_fa.entry(i, j).rad() for j in range(n)]
-        for i in range(m)
-    ]
-    c = [b_fa[i].mid() + b_ex[i].mid() for i in range(m)]
-    d = [b_ex[i].rad() - b_fa[i].rad() for i in range(m)]
-    return prop1_construct(AbsIneqSystem(C, D, c, d))
-
-
 def draw_point(rng: random.Random, n: int) -> PointVector:
     """Coordinates mix zeros, small fractions and denominators above 2**61."""
     coords = []
@@ -262,7 +212,7 @@ def test_prop2_flatten_matches_reference():
                             seed=rng.randrange(2 ** 31), zero_prob=rng.choice([0.0, 0.4, 1.0]),
                             max_denominator=rng.choice([1, 4, 7]))
         gen = random_instance(spec)
-        assert prop2_flatten(gen) == ref_prop2_flatten(gen)
+        assert prop2_flatten(gen) == prop1_construct(ref_prop2_absineq(gen))
 
 
 def test_corollary1_matches_reference():
@@ -274,14 +224,14 @@ def test_corollary1_matches_reference():
                     spec = InstanceSpec(m=m, n=n, kappa=1, seed=rng.randrange(2 ** 31),
                                         zero_prob=zero_prob, max_denominator=max_denominator)
                     blocks = random_instance(spec).block(1)
-                    assert corollary1_construct(*blocks) == ref_corollary1(*blocks)
+                    assert corollary1_construct(*blocks) == prop1_construct(ref_corollary1_absineq(*blocks))
     a = imat([[(1, 2)]])
     b = ivec([(0, 1)])
     for bad in ((a, imat([[(1, 2), (0, 0)]]), b, b), (a, a, ivec([(0, 1), (0, 1)]), b)):
         with pytest.raises(ValueError):
             corollary1_construct(*bad)
         with pytest.raises(ValueError):
-            ref_corollary1(*bad)
+            ref_corollary1_absineq(*bad)
 
 
 def test_evaluator_coefficients_are_reduced():
