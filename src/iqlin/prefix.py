@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Tuple
 
 from .compiled import CompiledSystem, compile_blocks
@@ -194,8 +195,8 @@ class BlockBoundaries:
     cuts: tuple
 
 
-def decompose_ae_blocks(prefix: QuantifierPrefix) -> BlockBoundaries:
-    """Split a prefix into its chain of AE-blocks.
+def block_assignment(prefix: QuantifierPrefix) -> tuple:
+    """For each binding (in outermost-first order) its block number, innermost = 1.
 
     Reading the prefix outside in, a new block starts exactly where a
     universal quantifier follows an existential one: blocks are the
@@ -205,45 +206,28 @@ def decompose_ae_blocks(prefix: QuantifierPrefix) -> BlockBoundaries:
     those shape constraints, so the split is unique.
     """
     word = prefix.quantifier_word()
-    mu = len(word)
-    # Segment lengths outermost to innermost.
-    seg_lengths = []
-    current = 1
-    for t in range(1, mu):
-        if word[t - 1] == "E" and word[t] == "A":
-            seg_lengths.append(current)
-            current = 1
-        else:
-            current += 1
-    seg_lengths.append(current)
-    # Innermost-first cumulative positions.
-    cuts = [0]
-    for length in reversed(seg_lengths):
-        cuts.append(cuts[-1] + length)
-    return BlockBoundaries(kappa=len(seg_lengths), cuts=tuple(cuts))
-
-
-def block_assignment(prefix: QuantifierPrefix) -> tuple:
-    """For each binding (in outermost-first order) its block number, innermost = 1."""
-    boundaries = decompose_ae_blocks(prefix)
-    mu = prefix.mu
-    blocks = [0] * mu
-    for s in range(1, boundaries.kappa + 1):
-        # Innermost positions cuts[s-1]+1 .. cuts[s] map to list slice
-        # [mu - cuts[s] : mu - cuts[s-1]] in outermost-first order.
-        for t in range(mu - boundaries.cuts[s], mu - boundaries.cuts[s - 1]):
-            blocks[t] = s
+    s = word.count("EA") + 1
+    blocks = []
+    for prev, q in zip(" " + word, word):
+        if prev + q == "EA":
+            s -= 1
+        blocks.append(s)
     return tuple(blocks)
+
+
+def decompose_ae_blocks(prefix: QuantifierPrefix) -> BlockBoundaries:
+    """Split a prefix into its chain of AE-blocks (see ``block_assignment``)."""
+    blocks = block_assignment(prefix)
+    kappa = blocks[0]
+    return BlockBoundaries(kappa, tuple(accumulate(map(blocks.count, range(1, kappa + 1)), initial=0)))
 
 
 def block_shapes(prefix: QuantifierPrefix) -> tuple:
     """Quantifier word of each block read outside in, innermost block first."""
-    boundaries = decompose_ae_blocks(prefix)
-    word = prefix.quantifier_word()
-    mu = len(word)
-    shapes = []
-    for s in range(1, boundaries.kappa + 1):
-        shapes.append(word[mu - boundaries.cuts[s]: mu - boundaries.cuts[s - 1]])
+    blocks = block_assignment(prefix)
+    shapes = [""] * blocks[0]
+    for q, s in zip(prefix.quantifier_word(), blocks):
+        shapes[s - 1] += q
     return tuple(shapes)
 
 
