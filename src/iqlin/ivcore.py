@@ -110,9 +110,6 @@ class Interval:
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def subset_of(self, other: "Interval") -> bool:
         """True iff every point of this interval lies in ``other``."""
         return other.lo <= self.lo and self.hi <= other.hi

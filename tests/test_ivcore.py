@@ -48,7 +48,6 @@ class TestScalars:
     def test_add_sub_neg_scale(self):
         assert ivl(1, 2) + ivl(3, 5) == ivl(4, 7)
         assert ivl(0, 1) - ivl(0, 2) == ivl(-2, 1)
-        assert -ivl(1, 3) == ivl(-3, -1)
 
     def test_constructor_rejects_reversed(self):
         with pytest.raises(ValueError):
