@@ -347,27 +347,30 @@ def member_rohn(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
     return member_rohn_blocks(*_one_block(gen), x)
 
 
-def _zeros(b: IntervalVector, n: int) -> tuple:
-    """The zero matrix and zero vector of a system with rhs b and n unknowns."""
+def _zeros(A: IntervalMatrix, b: IntervalVector) -> tuple:
+    """The zero matrix and zero vector of the system A, b."""
+    m, n = A.shape
+    if len(b) != m:
+        raise ValueError("rhs length must match matrix row count")
     zero = Interval.zero()
-    return IntervalMatrix([[zero] * n for _ in b]), IntervalVector([zero] * len(b))
+    return IntervalMatrix([[zero] * n for _ in range(m)]), IntervalVector([zero] * m)
 
 
 def member_united(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Some matrix in A and some rhs in b solve exactly at x."""
-    zero_a, zero_b = _zeros(b, A.shape[1])
+    zero_a, zero_b = _zeros(A, b)
     return member_rohn_blocks(zero_a, A, zero_b, b, x)
 
 
 def member_tolerable(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Every matrix in A lands Ax inside b (for a suitable rhs per matrix)."""
-    zero_a, zero_b = _zeros(b, A.shape[1])
+    zero_a, zero_b = _zeros(A, b)
     return member_rohn_blocks(A, zero_a, zero_b, b, x)
 
 
 def member_controllable(A: IntervalMatrix, b: IntervalVector, x: PointLike) -> MembershipVerdict:
     """Every rhs in b is reached by some matrix in A at x."""
-    zero_a, zero_b = _zeros(b, A.shape[1])
+    zero_a, zero_b = _zeros(A, b)
     return member_rohn_blocks(zero_a, A, b, zero_b, x)
 
 

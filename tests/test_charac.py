@@ -338,6 +338,11 @@ class TestAESystem:
         v2 = member_rohn(gen, ["1"])
         assert v2.violated.kind is ConditionKind.ROHN_BOUND
 
+    @pytest.mark.parametrize("named", [member_united, member_tolerable, member_controllable])
+    def test_named_sets_refuse_mismatched_rhs(self, named):
+        with pytest.raises(ValueError, match="rhs length"):
+            named(imat([[(2, 4)]]), ivec([(6, 8), (1, 2)]), ["1"])
+
     @pytest.mark.parametrize("decide", [member_shary, member_rohn], ids=["shary", "rohn"])
     def test_two_blocks_refused(self, decide):
         with pytest.raises(ValueError, match="kappa = 2"):
