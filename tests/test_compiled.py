@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from conftest import gen_1x1, imat, ivec, ref_corollary1_absineq, ref_prop2_absineq
 from iqlin import (
     AbsFormEvaluator,
-    AbsIneqSystem,
     ConditionKind,
     GeneralizedIQSystem,
     InstanceSpec,
