@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, gt, mul, sub
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -122,11 +122,11 @@ def _cleared(x: PointLike, n: int) -> list:
 
 
 def _int64_parts(entries: list) -> tuple:
-    """Numerators and denominators of Fractions as two int64 arrays; OverflowError past int64."""
+    """The ``_numerator``/``_denominator`` slots of exact-type Fractions as two int64 arrays; OverflowError past int64."""
     import numpy as np
 
     return tuple(np.fromiter(map(attrgetter(part), entries), np.int64, len(entries))
-                 for part in ("numerator", "denominator"))
+                 for part in ("_numerator", "_denominator"))
 
 
 def _row_dots(flat: tuple, vec: list) -> list:
@@ -143,7 +143,9 @@ def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVer
     times x takes each entry's lower endpoint where x_j >= 0 and its
     upper endpoint where x_j < 0, the upper endpoint the reverse.  No
     midpoint or radius is formed, so this form cross-checks
-    ``member_absform`` with independent arithmetic.
+    ``member_absform`` with independent arithmetic.  The width order is
+    the shift lemma at work: some point c0 of an interval c has
+    a inside b + c0 exactly when a is inside b + c and wid a <= wid b.
     """
     comp = gen.compiled
     m = comp.m
@@ -333,7 +335,7 @@ def member_rohn_blocks(
 
 def _one_block(gen: GeneralizedIQSystem) -> tuple:
     if gen.kappa != 1:
-        raise ValueError(f"expected a one-block system, got kappa = {gen.kappa}")
+        raise ValueError(f"expected a one-block (kappa=1) system, got kappa = {gen.kappa}")
     return gen.block(1)
 
 
@@ -498,8 +500,9 @@ class AbsFormEvaluator:
     kappa-1 ordering levels the prefix-summed radius rows of both
     quantifier sides, plus the full radius-slack row (exists minus
     forall) and the summed center row.  A batch of points is encoded
-    with numpy into cleared integer columns and decided in exact
-    integer arithmetic, 2 * kappa * m * (n+1) multiply-adds per point.
+    with numpy into cleared integer columns, two Fraction slot reads
+    per entry (see ``_encode``), and decided in exact integer
+    arithmetic, 2 * kappa * m * (n+1) multiply-adds per point.
     The encoder masks each point whose cleared column exceeds the
     conservative overflow bound; those points alone are decided by
     ``member_absform``, so verdicts always equal it.  Rows too large
@@ -548,11 +551,19 @@ class AbsFormEvaluator:
         ``aug`` holds the columns of the fitting points in order, as a
         C-contiguous (n+1) x fits.sum() array for the kernel's tiles.
         Every product is checked before it is formed, so no lane wraps.
+
+        The points are flattened once, and each entry is read by two
+        C-level slot reads, its ``_numerator`` and ``_denominator``, in
+        two ``np.fromiter`` passes; no Python code runs per entry.  That
+        is sound because ``point_entries`` yields only exact-type
+        Fractions (``rat`` rebuilds subclasses and every other input),
+        and on those the ``numerator``/``denominator`` properties return
+        exactly these slots.
         """
         import numpy as np
 
         n, bound, count = self._n, self._bound, len(points)
-        flat = [v for x in points for v in point_entries(x, n)]
+        flat = list(chain.from_iterable(map(point_entries, points, repeat(n))))
         # Rows beyond int64 (see __init__) fit no point.
         fits = np.full(count, self._fits(1))
         try:
@@ -560,7 +571,7 @@ class AbsFormEvaluator:
         except OverflowError:
             # Some numerator or denominator is beyond int64: its point cannot
             # fit, and its entries are read as 0.
-            narrow = [-2 ** 63 <= v.numerator < 2 ** 63 and v.denominator < 2 ** 63 for v in flat]
+            narrow = [-2 ** 63 <= v._numerator < 2 ** 63 and v._denominator < 2 ** 63 for v in flat]
             fits &= np.array(narrow, dtype=np.bool_).reshape(count, n).all(axis=1)
             num, den = _int64_parts([v if ok else _ZERO for v, ok in zip(flat, narrow)])
         # One row per coordinate and one lane per point, the last row lx;
@@ -571,8 +582,9 @@ class AbsFormEvaluator:
         del num
         den = den.reshape(count, n).T
         lx = aug[n]
-        lx.fill(1)
-        for d in den:
+        lx[:] = den[0]
+        fits &= lx <= bound
+        for d in den[1:]:
             step = d // np.gcd(lx, d)
             fits &= lx <= bound // step
             lx *= np.where(fits, step, 1)

@@ -51,8 +51,7 @@ from .charac import (
     member_absineq,
     member_intervalform,
     member_rohn,
-    member_rohn_blocks,
-    member_shary_blocks,
+    member_shary,
     prop1_construct,
     prop2_flatten,
 )
@@ -305,11 +304,10 @@ _METHODS = ("abs", "interval", "shary", "rohn", "oracle", "all")
 def _run_method(method: str, gen: GeneralizedIQSystem, point: PointVector,
                 grid: int, node_cap: int) -> Tuple[str, Optional[bool]]:
     """Verdict text and boolean (None when the oracle answers unknown)."""
-    if method in ("shary", "rohn"):
-        if gen.kappa != 1:
-            raise CliError(f"method {method} requires a one-block (kappa=1) system")
-        fn = member_shary_blocks if method == "shary" else member_rohn_blocks
-        verdict = fn(*gen.block(1), point)
+    if method == "shary":
+        verdict = member_shary(gen, point)
+    elif method == "rohn":
+        verdict = member_rohn(gen, point)
     elif method == "abs":
         verdict = member_absform(gen, point)
     elif method == "interval":

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -119,24 +119,6 @@ class Interval:
 
 
 _ZERO_INTERVAL = Interval(0, 0)
-
-
-def exists_shift_witness(a: Interval, b: Interval, c: Interval) -> Optional[Rational]:
-    """Witness for "some shift of b by a point of c covers a".
-
-    There is a c0 in c with a ⊆ b + c0 exactly when a ⊆ b + c and
-    wid(a) <= wid(b).  When that holds, every point of
-    [a.hi - b.hi, a.lo - b.lo] ∩ c is a valid shift (the width
-    inequality makes the bracket a genuine interval, and the inclusion
-    makes the intersection nonempty); we return its upper endpoint.
-    Returns None when no shift exists.
-    """
-    if not (a.subset_of(b + c) and a.wid() <= b.wid()):
-        return None
-    lo = max(a.hi - b.hi, c.lo)
-    hi = min(a.lo - b.lo, c.hi)
-    assert lo <= hi, "witness bracket must meet c when the closed-form condition holds"
-    return hi
 
 
 @dataclass(frozen=True)

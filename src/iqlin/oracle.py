@@ -324,7 +324,7 @@ class InstanceSpec:
 
 
 def _random_rational(rng: random.Random, magnitude: int, max_denominator: int) -> Rational:
-    return Rational(rng.randint(-magnitude, magnitude)) / rng.randint(1, max_denominator)
+    return Rational(rng.randint(-magnitude, magnitude), rng.randint(1, max_denominator))
 
 
 def _random_interval(rng: random.Random, spec: InstanceSpec) -> Interval:

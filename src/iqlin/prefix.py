@@ -433,11 +433,10 @@ def recompose_prefix(gen: GeneralizedIQSystem) -> QuantifierPrefix:
     block by convention (their placement cannot change the solution
     set).  Within a block, universals come before existentials, each
     group in row-major order.  Raises ValueError when the tuples are
-    not disjoint.
+    not disjoint, naming the first slot that several tuples claim; that
+    is the only way ``validate_disjoint`` can fail against the tuples'
+    own sums, so no sum is formed here.
     """
-    report = validate_disjoint(gen, gen.summed_a(), gen.summed_b())
-    if not report.ok:
-        raise ValueError(f"cannot recompose a prefix: {report}")
     m, n = gen.shape
     kappa = gen.kappa
     groups = {(s, q): [] for s in range(1, kappa + 1) for q in Quantifier}
@@ -464,12 +463,9 @@ def recompose_prefix(gen: GeneralizedIQSystem) -> QuantifierPrefix:
 
 
 def _assign_slot(groups, param: ParamRef, forall_slots, exists_slots) -> None:
-    for s, ivl in forall_slots:
-        if not ivl.is_zero():
-            groups[(s, Quantifier.FORALL)].append(param)
-            return
-    for s, ivl in exists_slots:
-        if not ivl.is_zero():
-            groups[(s, Quantifier.EXISTS)].append(param)
-            return
-    groups[(1, Quantifier.EXISTS)].append(param)
+    claims = [(s, quant) for quant, slots in ((Quantifier.FORALL, forall_slots), (Quantifier.EXISTS, exists_slots))
+              for s, ivl in slots if not ivl.is_zero()]
+    if len(claims) > 1:
+        report = DisjointnessReport(False, param, f"{len(claims)} blocks claim this slot")
+        raise ValueError(f"cannot recompose a prefix: {report}")
+    groups[claims[0] if claims else (1, Quantifier.EXISTS)].append(param)

@@ -229,17 +229,6 @@ def brute_valid_cut_sets(word: str) -> List[Tuple[int, ...]]:
     return results
 
 
-def interval_grid(a: Interval, step: Fraction) -> List[Fraction]:
-    lo = Fraction(int(a.lo.numerator), int(a.lo.denominator))
-    hi = Fraction(int(a.hi.numerator), int(a.hi.denominator))
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    return out
-
-
 def brute_vertex_image(A: IntervalMatrix, x: PointVector) -> List[Tuple[Fraction, Fraction]]:
     """Componentwise min/max of V x over all vertex matrices V of A."""
     m, n = A.shape

@@ -198,6 +198,14 @@ class TestCheck:
         assert main(["check", "--system", path, "--point", "0", "--method", "shary"]) == EXIT_USAGE
         assert "kappa=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["shary", "rohn"])
+    def test_one_block_method_on_k2_exits_two_with_empty_stdout(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, "k2.json", generalized_document(outer_exists_system()))
+        assert main(["check", "--system", path, "--point", "0", "--method", method]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a one-block (kappa=1) system, got kappa = 2\n"
+
     def test_all_skips_one_block_methods_on_k2(self, tmp_path, capsys):
         doc = generalized_document(outer_exists_system())
         path = write_doc(tmp_path, "k2.json", doc)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqlin import Interval, IntervalMatrix, IntervalVector, PointVector, exists_shift_witness, rat
-from conftest import brute_vertex_image, imat, interval_grid, ivl, pvec
+from iqlin import Interval, IntervalMatrix, IntervalVector, PointVector, rat
+from conftest import brute_vertex_image, imat, ivl, pvec
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -18,16 +18,6 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 def intervals(draw):
     a = draw(rationals)
     b = draw(rationals)
-    return Interval(min(a, b), max(a, b))
-
-
-dyadics = st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8]))
-
-
-@st.composite
-def dyadic_intervals(draw):
-    a = draw(dyadics)
-    b = draw(dyadics)
     return Interval(min(a, b), max(a, b))
 
 
@@ -99,34 +89,6 @@ class TestScalars:
     def test_add_associative_commutative(self, a, b, c):
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-
-
-class TestShiftWitness:
-    def test_examples(self):
-        assert exists_shift_witness(ivl(0, 1), ivl(0, 2), ivl(-1, 0)) == 0
-        assert exists_shift_witness(ivl(0, 3), ivl(0, 2), ivl(-1, 1)) is None
-        assert exists_shift_witness(ivl(5, 5), ivl(0, 0), ivl(4, 6)) == 5
-
-    def test_width_excess_blocks_witness(self):
-        # Inclusion in b + c holds, yet no single shift works: wid(a) > wid(b).
-        a, b, c = ivl(0, 3), ivl(0, 2), ivl(0, 1)
-        assert a.subset_of(b + c)
-        assert exists_shift_witness(a, b, c) is None
-
-    @given(dyadic_intervals(), dyadic_intervals(), dyadic_intervals())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_grid_search(self, a, b, c):
-        witness = exists_shift_witness(a, b, c)
-        step = Fraction(1, 16)
-        grid_hit = any(a.subset_of(b + ivl(t)) for t in interval_grid(c, step))
-        if witness is not None:
-            assert c.lo <= witness <= c.hi
-            assert a.subset_of(b + ivl(witness))
-            assert grid_hit
-        else:
-            # The witness set is an interval with dyadic endpoints, so
-            # the 1/16 grid would have found any witness that exists.
-            assert not grid_hit
 
 
 class TestVectorsAndPoints:

@@ -263,6 +263,26 @@ class TestRecompose:
         with pytest.raises(ValueError, match="disjoint"):
             recompose_prefix(gen)
 
+    def test_refusal_matches_validate_disjoint(self):
+        # recompose_prefix forms no slot sum; it must refuse exactly the
+        # tuples that validate_disjoint rejects against their own sums, at
+        # the same first slot.
+        from iqlin import InstanceSpec, random_instance
+        rng = random.Random(611)
+        refused = 0
+        for _ in range(300):
+            gen = random_instance(InstanceSpec(m=rng.randint(1, 3), n=rng.randint(1, 3), kappa=rng.randint(1, 3),
+                                               seed=rng.randrange(2 ** 31), zero_prob=rng.choice([0.6, 0.8, 0.95])))
+            report = validate_disjoint(gen, gen.summed_a(), gen.summed_b())
+            if report.ok:
+                recompose_prefix(gen)
+            else:
+                refused += 1
+                with pytest.raises(ValueError) as info:
+                    recompose_prefix(gen)
+                assert str(info.value) == f"cannot recompose a prefix: {report}"
+        assert 50 < refused < 250
+
 
 class TestBlockAssignment:
     def test_assignment_matches_shapes(self):
