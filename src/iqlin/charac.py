@@ -178,17 +178,18 @@ def member_intervalform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVer
 def member_absform(gen: GeneralizedIQSystem, x: PointLike) -> MembershipVerdict:
     """Membership via the midpoint-radius inequalities (absolute-value form).
 
-    Row values are in units of 2 * denom * lx: center is the summed
-    midpoint row times x minus the summed rhs midpoints, slack the
-    exists radius sum minus the forall radius sum at |x|.
+    Row values are in units of 2 * denom * lx: order is the exists minus
+    the forall radius sum at |x| per level, the last level the slack;
+    center the summed midpoint row times x minus the summed rhs midpoints.
     """
     comp = gen.compiled
     aug = _cleared(x, comp.n)
-    absx = list(map(abs, aug))
-    for k, (lsum, rsum) in enumerate(zip(_row_dots(comp.left, absx), _row_dots(comp.right, absx))):
-        if lsum > rsum:
+    order = _row_dots(comp.order, list(map(abs, aug)))
+    inner = len(order) - comp.m
+    for k, value in enumerate(order[:inner]):
+        if value < 0:
             return MembershipVerdict(False, Violation(ConditionKind.RADIUS_ORDER, k // comp.m + 1))
-    for i, (center, slack) in enumerate(zip(_row_dots(comp.center, aug), _row_dots(comp.slack, absx)), start=1):
+    for i, (center, slack) in enumerate(zip(_row_dots(comp.center, aug), order[inner:]), start=1):
         if abs(center) > slack:
             return MembershipVerdict(False, Violation(ConditionKind.CENTER_BOUND, i))
     return _MEMBER
@@ -224,8 +225,8 @@ def line_solver(gen: GeneralizedIQSystem, axis: int) -> Callable[[list], list]:
     intervals ``(lo, hi)`` in ascending order, one within u <= 0 and one
     within u >= 0, with integer-ratio ends (numerator, positive
     denominator) and None for an unbounded end.  With the sign of u
-    fixed, every radius-order row (right - left) . |aug| >= 0 and both
-    halves of every center row slack . |aug| -+ center . aug >= 0 is
+    fixed, every radius-order row order . |aug| >= 0 and both halves
+    of every center row slack . |aug| -+ center . aug >= 0 is
     affine in u (Oettli & Prager, Numer. Math. 6, 1964).  The alphas are
     formed here once; a call forms the betas in O(kappa * m * (n+1))
     integer operations.
@@ -234,12 +235,12 @@ def line_solver(gen: GeneralizedIQSystem, axis: int) -> Callable[[list], list]:
     width = comp.n + 1
     if not 0 <= axis < comp.n:
         raise ValueError(f"axis {axis} is outside 0..{comp.n - 1}")
-    spread = list(map(sub, comp.right, comp.left))
-    center_a, slack_a = comp.center[axis::width], comp.slack[axis::width]
-    alphas = [spread[axis::width] + [s_a - k * sign * c_a for c_a, s_a in zip(center_a, slack_a) for k in (1, -1)]
+    order_rows, center_rows = ([flat[k:k + width] for k in range(0, len(flat), width)]
+                               for flat in (comp.order, comp.center))
+    order_rows, slack_rows = order_rows[:-comp.m], order_rows[-comp.m:]
+    alphas = [[row[axis] for row in order_rows]
+              + [s[axis] - k * sign * c[axis] for c, s in zip(center_rows, slack_rows) for k in (1, -1)]
               for sign in (1, -1)]
-    order_rows, center_rows, slack_rows = ([flat[k:k + width] for k in range(0, len(flat), width)]
-                                           for flat in (spread, comp.center, comp.slack))
 
     def solve(aug: list) -> list:
         absx = list(map(abs, aug))
@@ -480,7 +481,7 @@ def prop2_flatten(gen: GeneralizedIQSystem) -> GeneralizedIQSystem:
         return [[Rational(v, scale) for v in flat[k:k + width]] for k in range(0, len(flat), width)]
 
     # Prefix sums of [rad A'' - rad A' | rad b'' - rad b'] over inner blocks, then all blocks.
-    spread = rows([*map(sub, comp.right, comp.left), *comp.slack])
+    spread = rows(comp.order)
     center = rows(comp.center)
     C = [[_ZERO] * n] * inner + [row[:n] for row in center]
     c = [_ZERO] * inner + [-row[n] for row in center]
@@ -497,9 +498,9 @@ class AbsFormEvaluator:
 
     The evaluator copies the system's compiled doubled rows into int64
     arrays, divided by the gcd of all their entries: for each of the
-    kappa-1 ordering levels the prefix-summed radius rows of both
-    quantifier sides, plus the full radius-slack row (exists minus
-    forall) and the summed center row.  A batch of points is encoded
+    kappa-1 ordering levels the forall and exists radius prefix sums
+    (``left`` and ``left + order``), then the last ``order`` level, the
+    slack, and the summed center row.  A batch of points is encoded
     with numpy into cleared integer columns, two Fraction slot reads
     per entry (see ``_encode``), and decided in exact integer
     arithmetic, 2 * kappa * m * (n+1) multiply-adds per point.
@@ -522,7 +523,7 @@ class AbsFormEvaluator:
         self.gen = gen
         comp = gen.compiled
         self._n, self._kappa = comp.n, comp.kappa
-        rows = (comp.left, comp.right, comp.slack, comp.center)
+        rows = (comp.left, list(map(add, comp.left, comp.order)), comp.order[len(comp.left):], comp.center)
         # One common factor out of every row leaves each inequality intact.
         common = math.gcd(*chain.from_iterable(rows)) or 1
         rows = [[v // common for v in flat] for flat in rows]

@@ -13,16 +13,15 @@ exists side, and two views of the same data are kept as flat tuples:
   every row, then their upper endpoints, times ``denom``.  The interval
   form reads these.
 * doubled rows (``hi + lo`` and ``hi - lo`` times ``denom``, so midpoints
-  and radii stay integral), row by row, ``n+1`` entries each: ``left`` /
-  ``right`` hold the radius rows of the forall / exists side
-  prefix-summed over blocks 1..l for the levels l = 1..kappa-1,
-  level-major; ``slack`` the full exists-minus-forall radius row and
+  and radii stay integral), row by row, ``n+1`` entries each, level-major:
+  ``order`` holds, for the levels l = 1..kappa, the exists radius row
+  minus the forall radius row summed over blocks 1..l (levels below
+  kappa give the radius-order conditions, level kappa the center
+  bound's slack); ``left`` the forall radius rows summed over blocks
+  1..l for l = 1..kappa-1, which only the batch evaluator reads; and
   ``center`` the summed midpoint row (rhs negated through the
   augmentation).  The midpoint-radius form, the batch evaluator,
   ``prop2_flatten`` and the integer line solve ``line_solver`` read these.
-
-Equal values within one system share one int object, so a compiled
-system stays small while its ``GeneralizedIQSystem`` is alive.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class CompiledSystem(NamedTuple):
     denom: int
     endpoints: tuple
     left: tuple
-    right: tuple
-    slack: tuple
+    order: tuple
     center: tuple
 
 
@@ -56,6 +54,7 @@ def compile_blocks(a_forall, a_exists, b_forall, b_exists) -> CompiledSystem:
     kappa = len(a_forall)
     m, n = a_forall[0].shape
     width = n + 1
+    block = m * width
     zero = Interval.zero()
 
     def ratios(e: Interval, sign: int) -> tuple:
@@ -73,30 +72,22 @@ def compile_blocks(a_forall, a_exists, b_forall, b_exists) -> CompiledSystem:
     ]
     denom = math.lcm(*{d for side in sides for pair in side for _, d in pair})
     ends = [[[num * (denom // d) for num, d in part] for part in zip(*side)] for side in sides]
-    shared = {}
-
-    def pack(values) -> tuple:
-        return tuple(shared.setdefault(v, v) for v in values)
 
     def block_prefix_sums(flat: list) -> list:
-        block = m * width
         acc = [0] * block
         out = []
         for k in range(0, kappa * block, block):
             acc = list(map(add, acc, flat[k:k + block]))
-            out.append(acc)
+            out += acc
         return out
 
     all_lo, all_hi = (ends[0][k] + ends[1][k] for k in (0, 1))
-    left, right = (block_prefix_sums(list(map(sub, hi, lo))) for lo, hi in ends)
-    mid_f, mid_e = (map(add, lo, hi) for lo, hi in ends)
-    center = block_prefix_sums(list(map(add, mid_f, mid_e)))[-1]
+    rad_f, rad_e = (list(map(sub, hi, lo)) for lo, hi in ends)
     return CompiledSystem(
         m=m, n=n, kappa=kappa, denom=denom,
-        endpoints=pack(chain.from_iterable(
+        endpoints=tuple(chain.from_iterable(
             (*all_lo[j::width], *all_hi[j::width]) for j in range(width))),
-        left=pack(chain.from_iterable(left[:-1])),
-        right=pack(chain.from_iterable(right[:-1])),
-        slack=pack(map(sub, right[-1], left[-1])),
-        center=pack(center),
+        left=tuple(block_prefix_sums(rad_f)[:-block]),
+        order=tuple(block_prefix_sums(list(map(sub, rad_e, rad_f)))),
+        center=tuple(block_prefix_sums(list(map(sum, zip(*ends[0], *ends[1]))))[-block:]),
     )

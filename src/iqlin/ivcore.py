@@ -40,15 +40,16 @@ def rat(value: RationalLike) -> Rational:
     rationals, and strings.  Strings may be fraction literals ("3/2",
     "-7") or decimal literals ("0.25"), both parsed exactly; binary
     floats are rejected to keep the library free of rounding
-    contamination.  The result is always a Fraction of Python ints.
-    A decimal exponent above ``sys.get_int_max_str_digits()`` is refused:
-    building 10**exponent takes time superlinear in the exponent.
+    contamination, and so are booleans (as JSON ``true`` in the CLI).
+    The result is always a Fraction of Python ints; a Fraction of numpy
+    integers is rebuilt.  A decimal exponent above ``sys.get_int_max_str_digits()``
+    is refused: building 10**exponent takes time superlinear in the exponent.
     """
-    if type(value) is Fraction:
+    if type(value) is Fraction and type(value._numerator) is int is type(value._denominator):
         return value
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise TypeError(
-            "refusing to build a rational from a binary float; "
+            f"refusing to build a rational from {type(value).__name__} {value!r}; "
             "pass an int, a Fraction, or a string literal like '3/2' or '0.25'"
         )
     if isinstance(value, str):

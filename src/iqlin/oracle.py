@@ -59,6 +59,10 @@ from .prefix import GeneralizedIQSystem, Quantifier
 _ZERO = rat(0)
 _MINUS_ONE = rat(-1)
 
+# Both game passes recurse once per branching move, up to three interpreter
+# frames each; a wider row would exhaust the default recursion limit.
+MAX_ROW_MOVES = 256
+
 
 class Outcome(Enum):
     MEMBER_CERTIFIED = "member-certified"
@@ -273,7 +277,8 @@ def game_oracle(gen: GeneralizedIQSystem, x, grid: int = 5, node_cap: int = 10 *
     Returns MEMBER_CERTIFIED when the gridded game is won,
     NOT_MEMBER_CERTIFIED when the vertex-universal refutation pass
     wins, UNKNOWN otherwise (possible only for two or more blocks).
-    Raises NodeCapExceeded beyond ``node_cap`` leaf evaluations.
+    Raises NodeCapExceeded beyond ``node_cap`` leaf evaluations, or before
+    any search when a row has more than ``MAX_ROW_MOVES`` branching moves.
     """
     if grid < 2:
         raise ValueError("existential grid needs at least the two endpoints")
@@ -281,8 +286,11 @@ def game_oracle(gen: GeneralizedIQSystem, x, grid: int = 5, node_cap: int = 10 *
     m = gen.shape[0]
     budget = _Budget(node_cap)
     # The refutation pass reads only range ends: build it with grid 2.
-    for i in range(m):
-        base, moves = _row_game(gen, pv, i, 2)
+    games = [_row_game(gen, pv, i, 2) for i in range(m)]
+    widest = max(len(moves) for _, moves in games)
+    if widest > MAX_ROW_MOVES:
+        raise NodeCapExceeded(f"{widest} moves of one row need branching, cap is {MAX_ROW_MOVES}")
+    for base, moves in games:
         ranges = [None if mv.quant is Quantifier.FORALL else (min(mv.contribs), max(mv.contribs))
                   for mv in moves]
         if not _relaxed_row_survives(moves, 0, base, ranges, budget):

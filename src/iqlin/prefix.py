@@ -416,9 +416,8 @@ def _check_slot(slots, target: Interval, param: ParamRef) -> Optional[Disjointne
     nonzero = [ivl for ivl in slots if not ivl.is_zero()]
     if len(nonzero) > 1:
         return DisjointnessReport(False, param, f"{len(nonzero)} blocks claim this slot")
-    total = slots[0]
-    for ivl in slots[1:]:
-        total = total + ivl
+    # With at most one nonzero slot the sum is that slot, or the zero slot.
+    total = nonzero[0] if nonzero else slots[0]
     if total != target:
         return DisjointnessReport(False, param, f"slot sum {total} != {target}")
     return None

@@ -13,6 +13,7 @@ from unittest import mock
 
 import pytest
 
+import iqlin.oracle
 from iqlin import (
     AbsFormEvaluator,
     InstanceSpec,
@@ -627,3 +628,20 @@ def test_late_error_at_process_boundary(tmp_path, text, command):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("n, kappa", [(990, 1), (200, 2), (5000, 1)])
+def test_wide_row_stops_at_the_move_cap(tmp_path, n, kappa):
+    # A row wider than the oracle's move cap once ended in a RecursionError
+    # traceback and exit 1 ("not a member") on this member point.
+    block = {"a_forall": [[["0", "0"]] * n], "a_exists": [[["-1", "2"]] * n],
+             "b_forall": [["0", "0"]], "b_exists": [["-1", "1"]]}
+    doc = {"format": "iqlin-system", "version": 1, "kind": "generalized", "m": 1, "n": n,
+           "kappa": kappa, "block_order": "innermost-first", "blocks": [block] * kappa}
+    path = write_doc(tmp_path, "wide.json", doc)
+    result = _python("-m", "iqlin.cli", "check", "--system", path, "--point", ",".join(["1"] * n))
+    assert "Traceback" not in result.stderr
+    assert result.returncode in (EXIT_OK, EXIT_USAGE)
+    if result.returncode == EXIT_USAGE:
+        assert result.stdout == ""
+        assert result.stderr == f"error: {kappa * (n + 1)} moves of one row need branching, cap is {iqlin.oracle.MAX_ROW_MOVES}\n"

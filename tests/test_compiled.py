@@ -233,6 +233,77 @@ def test_corollary1_matches_reference():
             ref_corollary1_absineq(*bad)
 
 
+def ref_compiled_rows(gen) -> tuple:
+    """Fraction references of the compiled ``left``, ``order`` and ``center`` rows, flat, level-major.
+
+    Each compiled row must equal 2 * denom times its reference: ``order``
+    level l holds sum_{s<=l} (rad A''_s - rad A'_s | rad b''_s - rad b'_s)
+    for l = 1..kappa, ``left`` level l holds sum_{s<=l} (rad A'_s | rad b'_s)
+    for l < kappa, and ``center`` sum_s (mid A'_s + mid A''_s | -(mid b'_s + mid b''_s)).
+    """
+    m, n = gen.shape
+
+    def rad_row(mat, vec, i):
+        return [e.rad() for e in mat.rows[i]] + [vec[i].rad()]
+
+    left, order = [], []
+    lacc = racc = [[_ZERO] * (n + 1)] * m
+    for s in range(gen.kappa):
+        lacc = [[a + r for a, r in zip(acc, rad_row(gen.a_forall[s], gen.b_forall[s], i))]
+                for i, acc in enumerate(lacc)]
+        racc = [[a + r for a, r in zip(acc, rad_row(gen.a_exists[s], gen.b_exists[s], i))]
+                for i, acc in enumerate(racc)]
+        order += [r - l for lrow, rrow in zip(lacc, racc) for l, r in zip(lrow, rrow)]
+        if s < gen.kappa - 1:
+            left += [v for row in lacc for v in row]
+    center = []
+    for i in range(m):
+        center += [sum((gen.a_forall[s].rows[i][j].mid() + gen.a_exists[s].rows[i][j].mid()
+                        for s in range(gen.kappa)), _ZERO) for j in range(n)]
+        center.append(-sum((gen.b_forall[s][i].mid() + gen.b_exists[s][i].mid() for s in range(gen.kappa)), _ZERO))
+    return left, order, center
+
+
+def assert_compiled_values(gen) -> None:
+    comp = gen.compiled
+    scale = 2 * comp.denom
+    for name, ref in zip(("left", "order", "center"), ref_compiled_rows(gen)):
+        assert list(getattr(comp, name)) == [scale * v for v in ref], name
+
+
+def test_compiled_values_seeded():
+    rng = random.Random(20261020)
+    for kappa in (1, 1, 2, 3, 5):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                spec = InstanceSpec(m=m, n=n, kappa=kappa, seed=rng.randrange(2 ** 31),
+                                    zero_prob=rng.choice([0.0, 0.3, 0.7]), max_denominator=rng.choice([1, 4, 9]),
+                                    magnitude=rng.choice([8, 2 ** 70]))
+                assert_compiled_values(random_instance(spec))
+    huge = 10 ** 23
+    assert_compiled_values(GeneralizedIQSystem(
+        a_forall=[imat([[(-huge, huge), (0, 0)]]), imat([[(1, 3), ("1/3", "1/2")]])],
+        a_exists=[imat([[(0, 0), (1, 2)]]), imat([[(-huge, 7), (0, 0)]])],
+        b_forall=[ivec([(0, 0)]), ivec([("-1/7", 2)])],
+        b_exists=[ivec([(0, 1)]), ivec([(-2, huge)])],
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kappa=st.integers(1, 5),
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    zero_prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    max_denominator=st.sampled_from([1, 4, 9, 2 ** 40]),
+    magnitude=st.sampled_from([1, 8, 2 ** 63, 2 ** 80]),
+)
+def test_compiled_values_hypothesis(kappa, m, n, zero_prob, seed, max_denominator, magnitude):
+    assert_compiled_values(random_instance(InstanceSpec(m=m, n=n, kappa=kappa, seed=seed, zero_prob=zero_prob,
+                                                        max_denominator=max_denominator, magnitude=magnitude)))
+
+
 def test_evaluator_coefficients_are_reduced():
     # Doubled rows of [0, 2] are all even; divided by their gcd they match the
     # smallest integer scaling, so this point still fits the int64 bound.

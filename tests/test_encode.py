@@ -20,9 +20,15 @@ from iqlin import (
     AbsFormEvaluator,
     GeneralizedIQSystem,
     InstanceSpec,
+    Outcome,
     PointVector,
+    game_oracle,
     member_absform,
+    member_intervalform,
+    member_rohn,
+    member_shary,
     random_instance,
+    vertex_oracle_k1,
 )
 from iqlin.charac import _cleared
 from iqlin.ivcore import point_entries
@@ -142,9 +148,29 @@ def test_fraction_layout_the_encoder_reads():
     value = Fraction(-6, 4)
     assert (Fraction.numerator.fget(value), Fraction.denominator.fget(value)) == (value._numerator, value._denominator)
     raw = [Fraction(3, 4), _SubFraction(5, 6), np.int64(-7), np.int32(2), np.uint64(2 ** 63 + 1),
-           "2/6", "-0.125", 9, -2 ** 70]
+           "2/6", "-0.125", 9, -2 ** 70, Fraction(np.int64(-6), np.int64(4)),
+           Fraction(np.int64(2 ** 62), np.int64(1)), Fraction(np.int32(5)), Fraction(np.uint64(2 ** 63 + 1), 3)]
     for x in (raw, tuple(raw), PointVector(raw)):
         entries = point_entries(x, len(raw))
         assert [type(v) for v in entries] == [Fraction] * len(raw)
         assert all(type(v._numerator) is int and type(v._denominator) is int for v in entries)
         assert entries == tuple(Fraction(v) for v in raw)
+
+
+def test_fraction_of_numpy_integers_is_not_wrapped():
+    # The only nonzero slot is a''_11 = [1, 1], so a point is a member only
+    # when x_1 = 0.  2**62 * 3 wraps in int64 if the Fraction keeps its
+    # numpy parts; every path must read the exact value and refuse it.
+    gen = GeneralizedIQSystem(
+        a_forall=[imat([[(0, 0), (0, 0)]])],
+        a_exists=[imat([[(1, 1), (0, 0)]])],
+        b_forall=[ivec([(0, 0)])],
+        b_exists=[ivec([(0, 0)])],
+    )
+    x = [Fraction(np.int64(2 ** 62), np.int64(1)), Fraction(1, 3)]
+    for shape in (x, tuple(x), PointVector(x)):
+        for member in (member_absform, member_intervalform, member_shary, member_rohn):
+            assert not member(gen, shape).member, member.__name__
+        assert AbsFormEvaluator(gen).member_many([shape, [0, 1]]) == [False, True]
+        for oracle in (vertex_oracle_k1, game_oracle):
+            assert oracle(gen, shape).outcome is Outcome.NOT_MEMBER_CERTIFIED, oracle.__name__

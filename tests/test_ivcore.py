@@ -68,6 +68,13 @@ class TestScalars:
         assert type(value.numerator) is int and type(value.denominator) is int
         with pytest.raises(TypeError):
             rat(np.float64(0.5))
+        value = rat(Fraction(np.int64(2 ** 62), np.int64(3)))
+        assert value == Fraction(2 ** 62, 3) and type(value._numerator) is int is type(value._denominator)
+
+    def test_booleans_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                rat(flag)
 
     def test_subset(self):
         assert ivl(3, 6).subset_of(ivl(3, 7))

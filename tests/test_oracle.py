@@ -151,6 +151,32 @@ class TestGameOracle:
         with pytest.raises(ValueError):
             game_oracle(inner_exists_system(), ["0"], grid=1)
 
+    @pytest.mark.parametrize("kappa", [1, 2])
+    @pytest.mark.parametrize("universal", [False, True], ids=["exists", "forall"])
+    def test_row_at_the_move_cap_finishes(self, kappa, universal):
+        # Each pass reaches full depth at its first leaf: the universal row
+        # fails there, and the gridded existential row misses 0 there.  At the
+        # cap both passes finish or stop at the leaf budget under this stack;
+        # one more move is refused before any search.
+        cap = iqlin.oracle.MAX_ROW_MOVES
+        n = cap + 1
+        for moves in (cap, cap + 1):
+            nonzero = moves if universal else moves - 1
+            block = (([(0, 1)] * n, [(0, 0)] * n, (0, 0), (5, 5)) if universal
+                     else ([(0, 0)] * n, [(-1, 2)] * n, (0, 0), (-1, 1)))
+            blocks = [block] + [([(0, 0)] * n, [(0, 0)] * n, (0, 0), (0, 0))] * (kappa - 1)
+            gen = GeneralizedIQSystem(*([imat([blk[k]]) for blk in blocks] for k in (0, 1)),
+                                      *([ivec([blk[k]]) for blk in blocks] for k in (2, 3)))
+            x = [1] * nonzero + [0] * (n - nonzero)
+            if moves > cap:
+                with pytest.raises(NodeCapExceeded, match=f"^{moves} moves of one row need branching, cap is {cap}$"):
+                    game_oracle(gen, x, node_cap=10 ** 4)
+            else:
+                try:
+                    game_oracle(gen, x, node_cap=10 ** 4)
+                except NodeCapExceeded as exc:
+                    assert str(exc) == "leaf evaluation budget of 10000 exceeded"
+
     def test_determinism(self):
         gen = outer_exists_system()
         a = game_oracle(gen, ["1/8"], grid=5)

@@ -208,7 +208,10 @@ class TestValidateDisjoint:
         report = validate_disjoint(gen, imat([[(1, 4)]]), ivec([(0, 0)]))
         assert not report.ok
         assert report.param == matrix_param(1, 1)
-        assert "sum" in report.reason
+        assert report.reason == "slot sum [1, 3] != [1, 4]"
+        # Every slot of b[1] is zero: the sum is the zero slot.
+        report = validate_disjoint(gen, imat([[(1, 3)]]), ivec([("-1/2", 0)]))
+        assert str(report) == "disjoint partition violated at b[1]: slot sum [0, 0] != [-1/2, 0]"
 
 
 class TestRecompose:
