@@ -12,12 +12,17 @@ just-out-of-range flag values instead.  Whatever the input:
   ``SystemExit(2)`` escapes ``main``;
 * exit 2 comes with an ``error:`` line on stderr and empty stdout;
 * a non-zero exit leaves no ``--output`` file behind.
+
+A second strategy keeps the classic document intact but for its prefix:
+the bindings are shuffled and one of them is dropped, duplicated, sent
+out of range or replaced by a malformed token.
 """
 
 import copy
 import io
 import json
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -107,9 +112,31 @@ GEN = st.builds(
     st.sampled_from(["0", "7", "-3"]),
     st.booleans(),
 )
-COMMANDS = CHECK | SCAN | GEN | st.just(["decompose"]) | st.sampled_from(["ae-flatten", "from-absineq"]).map(
+CONVERT = st.sampled_from(["ae-flatten", "from-absineq"]).map(
     lambda target: ["convert", "--target", target, "--output", OUTPUT])
+COMMANDS = CHECK | SCAN | GEN | st.just(["decompose"]) | CONVERT
+PREFIX_COMMANDS = CHECK | st.just(["decompose"]) | CONVERT
 POINTS_DOCS = [{"points": [["1", "2"], ["-1/2", "0"]]}, [["0", "0"]]]
+# Indices just outside the 2x2 classic document, and tokens the grammar refuses.
+OUT_OF_RANGE = ["a[3,1]", "a[1,3]", "a[0,2]", "b[3]", "b[0]"]
+MALFORMED = ["a[1]", "b[1,1]", "X"]
+
+
+@st.composite
+def near_valid_prefix(draw):
+    """The classic document with its bindings shuffled and one of them edited, as JSON text."""
+    doc = copy.deepcopy(DOCS[1])
+    pairs = draw(st.permutations(re.findall(r"(\S+) (\S+)", doc["prefix"])))
+    k = draw(st.integers(0, len(pairs) - 1))
+    edit = draw(st.sampled_from(("drop", "duplicate", "out-of-range", "malformed")))
+    if edit == "drop":
+        del pairs[k]
+    elif edit == "duplicate":
+        pairs.insert(draw(st.integers(0, len(pairs))), pairs[k])
+    else:
+        pairs[k] = (pairs[k][0], draw(st.sampled_from(OUT_OF_RANGE if edit == "out-of-range" else MALFORMED)))
+    doc["prefix"] = " ".join(f"{q} {p}" for q, p in pairs)
+    return json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +151,16 @@ def workdir(tmp_path_factory):
 @example(system=DEEP_TEXT, points="[]", command=["check", "--point=1,1"])
 @example(system=CLASSIC_TEXT, points=DEEP_TEXT, command=["check", "--points", POINTS])
 def test_exit_code_contract(workdir, system, points, command):
+    assert_contract(workdir, system, points, command)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(system=near_valid_prefix(), command=PREFIX_COMMANDS)
+def test_near_valid_prefix_contract(workdir, system, command):
+    assert_contract(workdir, system, "[]", command)
+
+
+def assert_contract(workdir, system, points, command):
     paths = {name: os.path.join(workdir, name) for name in ("system.json", "points.json", "out")}
     Path(paths["system.json"]).write_text(system)
     Path(paths["points.json"]).write_text(points)

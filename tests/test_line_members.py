@@ -18,13 +18,18 @@ from iqlin import (
     AbsFormEvaluator,
     GeneralizedIQSystem,
     InstanceSpec,
+    Outcome,
     PointVector,
+    game_oracle,
     line_members,
     member_absform,
     member_intervalform,
     member_rohn,
+    member_rohn_blocks,
+    member_shary,
     prop2_flatten,
     random_instance,
+    vertex_oracle_k1,
 )
 
 # Neighbours of an interval end are this close to it.
@@ -90,9 +95,11 @@ def test_boundary_points_other_deciders():
     # At every exact end and its +-1/q neighbours, member_many and
     # member_rohn on prop2_flatten equal member_absform.  Each batch also
     # holds one point 1/2**64 past an end, whose column is beyond the int64
-    # bound, so it takes the rational fallback.
+    # bound, so it takes the rational fallback.  At kappa = 1, Shary, Rohn
+    # on the block itself, the vertex oracle and the game oracle are exact
+    # too, and must agree on the same points.
     rng = random.Random(20261021)
-    batch_lanes = members = non_members = 0
+    batch_lanes = members = non_members = one_block_points = 0
     for kappa in range(1, 5):
         for m in range(1, 5):
             for n in range(1, 5):
@@ -121,9 +128,17 @@ def test_boundary_points_other_deciders():
                     assert evaluator.member_many(points) == want, gen
                     flat = prop2_flatten(gen)
                     assert [member_rohn(flat, p).member for p in points] == want, gen
+                    if kappa == 1:
+                        certified = [Outcome.MEMBER_CERTIFIED if w else Outcome.NOT_MEMBER_CERTIFIED for w in want]
+                        assert [member_shary(gen, p).member for p in points] == want, gen
+                        assert [member_rohn_blocks(*gen.block(1), p).member for p in points] == want, gen
+                        assert [vertex_oracle_k1(gen, p).outcome for p in points] == certified, gen
+                        assert [game_oracle(gen, p).outcome for p in points] == certified, gen
+                        one_block_points += len(points)
                     members += sum(want)
                     non_members += len(want) - sum(want)
     assert batch_lanes > 1000 and members > 500 and non_members > 400
+    assert one_block_points > 250
 
 
 def test_one_point_interval():

@@ -2,8 +2,11 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqlin import (
     ClassicIQSystem,
@@ -15,6 +18,7 @@ from iqlin import (
     decompose_ae_blocks,
     format_prefix,
     matrix_param,
+    member_absform,
     parse_prefix,
     parse_prefix_text,
     recompose_prefix,
@@ -48,6 +52,14 @@ class TestParsing:
     def test_unbound_rejected(self):
         with pytest.raises(ValueError, match="unbound"):
             parse_prefix(1, 1, [(A, matrix_param(1, 1))])
+
+    def test_unbound_listed_row_major(self):
+        # The first four unbound parameters, a[i,1..n] before b[i], row by row.
+        for text, shown in (("E a[2,2]", "a[1,1], a[1,2], b[1], a[2,1]"),
+                            ("A b[2] E a[1,2]", "a[1,1], b[1], a[2,1], a[2,2]")):
+            with pytest.raises(ValueError) as info:
+                parse_prefix_text(2, 2, text)
+            assert str(info.value) == f"prefix must bind every parameter; unbound: {shown}"
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -293,3 +305,58 @@ class TestBlockAssignment:
         blocks = block_assignment(p)
         # Outermost-first listing: first two bindings sit in block 3, then 2, 2, then 1, 1.
         assert blocks == (3, 3, 2, 2, 1, 1)
+
+
+def member_under(sys: ClassicIQSystem, bindings, x) -> bool:
+    """Membership of x when sys's data is read under the prefix ``bindings``."""
+    prefix = QuantifierPrefix(*sys.shape, bindings)
+    return member_absform(build_tuples(ClassicIQSystem(sys.A, sys.b, prefix)), x).member
+
+
+def prefix_relations(sys: ClassicIQSystem, x) -> tuple:
+    """Check the two one-way prefix relations at x; return (f checks, f strict, g checks, g strict).
+
+    (f) "A p E q" -> "E q A p" strengthens the formula: member after implies member before.
+    (g) one A -> E weakens it: member before implies member after.
+    Every adjacent A-E pair and every A of the prefix is tried.
+    """
+    bindings = sys.prefix.bindings
+    word = sys.prefix.quantifier_word()
+    before = member_under(sys, bindings, x)
+    f = f_strict = g = g_strict = 0
+    for k in range(len(word)):
+        if word[k:k + 2] == "AE":
+            swapped = [*bindings[:k], bindings[k + 1], bindings[k], *bindings[k + 2:]]
+            after = member_under(sys, swapped, x)
+            assert before or not after, (sys, k, x)
+            f += 1
+            f_strict += before and not after
+        if word[k] == "A":
+            flipped = [*bindings[:k], (bindings[k][0], E), *bindings[k + 1:]]
+            after = member_under(sys, flipped, x)
+            assert after or not before, (sys, k, x)
+            g += 1
+            g_strict += after and not before
+    return f, f_strict, g, g_strict
+
+
+class TestPrefixRelations:
+    def test_one_way_relations_seeded(self):
+        rng = random.Random(20261022)
+        totals = [0, 0, 0, 0]
+        for _ in range(400):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            sys = random_classic(rng, m, n, zero_prob=0.2)
+            for _ in range(3):
+                x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                totals = [t + c for t, c in zip(totals, prefix_relations(sys, x))]
+        f, f_strict, g, g_strict = totals
+        # Both relations must be strict somewhere, or they could hold vacuously.
+        assert f > 1200 and g > 3000, totals
+        assert f_strict >= 5 and g_strict >= 100, totals
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1),
+           coords=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3), min_size=3, max_size=3))
+    def test_one_way_relations_hypothesis(self, m, n, seed, coords):
+        prefix_relations(random_classic(random.Random(seed), m, n, zero_prob=0.2), coords[:n])
