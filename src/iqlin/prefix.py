@@ -24,6 +24,10 @@ because the membership conditions in ``charac`` take partial sums over
 the innermost blocks 1..l.  ``BlockBoundaries.cuts`` stores cumulative
 block sizes counted from the innermost end.  Nothing outside this
 module converts between the two directions.
+
+Every walk over the parameters uses one slot order, ``_params``: row
+major, a[i,1..n] then b[i], row by row.  The 2*kappa tuples of a slot
+are read forall tuples first, each group innermost block first.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Optional, Tuple
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .compiled import CompiledSystem, compile_blocks
 from .ivcore import Interval, IntervalMatrix, IntervalVector
@@ -71,16 +75,6 @@ class ParamRef:
         if self.kind == "a":
             return f"a[{self.row},{self.col}]"
         return f"b[{self.row}]"
-
-    def tuple_position(self, n: int) -> int:
-        """Position in the canonical row-major listing a11..a1n, b1, a21, ...
-
-        Used only to fix a deterministic ordering when rebuilding a
-        prefix from block tuples.
-        """
-        if self.kind == "a":
-            return (self.row - 1) * (n + 1) + self.col
-        return (self.row - 1) * (n + 1) + n + 1
 
     def __str__(self) -> str:
         return self.text()
@@ -121,8 +115,7 @@ class QuantifierPrefix:
             seen.add(p)
         # Distinct in-range parameters miss one exactly when they are too few.
         if len(packed) != m * (n + 1):
-            missing = sorted(_all_params(m, n) - seen, key=lambda r: r.tuple_position(n))
-            shown = ", ".join(p.text() for p in missing[:4])
+            shown = ", ".join(islice((p.text() for p in _params(m, n) if p not in seen), 4))
             raise ValueError(f"prefix must bind every parameter; unbound: {shown}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -140,13 +133,17 @@ class QuantifierPrefix:
         return format_prefix(self)
 
 
-def _all_params(m: int, n: int) -> set:
-    out = set()
+def _params(m: int, n: int) -> Iterator[ParamRef]:
+    """Every parameter of an m-by-n system in row-major order: a[i,1..n], then b[i]."""
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            out.add(matrix_param(i, j))
-        out.add(rhs_param(i))
-    return out
+            yield matrix_param(i, j)
+        yield rhs_param(i)
+
+
+def _row_major(mat: IntervalMatrix, vec: IntervalVector) -> list:
+    """The entries of a matrix and its right-hand side in ``_params`` order."""
+    return [e for row, v in zip(mat.rows, vec) for e in (*row, v)]
 
 
 def parse_prefix(m: int, n: int, tokens: Iterable[Tuple[Quantifier, ParamRef]]) -> QuantifierPrefix:
@@ -345,28 +342,18 @@ def build_tuples(sys: ClassicIQSystem) -> GeneralizedIQSystem:
     m, n = sys.shape
     blocks = block_assignment(sys.prefix)
     kappa = max(blocks)
+    # One slot grid [a_i1 .. a_in, b_i] per tuple: forall blocks 1..kappa,
+    # then exists blocks 1..kappa.  Empty slots keep the zero singleton,
+    # which compile_blocks skips by identity.
     zero = Interval.zero()
-    a_cells = {
-        (s, q): [[zero] * n for _ in range(m)]
-        for s in range(1, kappa + 1)
-        for q in Quantifier
-    }
-    b_cells = {
-        (s, q): [zero] * m
-        for s in range(1, kappa + 1)
-        for q in Quantifier
-    }
+    grids = [[[zero] * (n + 1) for _ in range(m)] for _ in range(2 * kappa)]
+    data = [[*row, v] for row, v in zip(sys.A.rows, sys.b)]
     for (param, quant), s in zip(sys.prefix.bindings, blocks):
-        if param.kind == "a":
-            a_cells[(s, quant)][param.row - 1][param.col - 1] = sys.A.entry(param.row - 1, param.col - 1)
-        else:
-            b_cells[(s, quant)][param.row - 1] = sys.b[param.row - 1]
-    return GeneralizedIQSystem(
-        a_forall=(IntervalMatrix(a_cells[(s, Quantifier.FORALL)]) for s in range(1, kappa + 1)),
-        a_exists=(IntervalMatrix(a_cells[(s, Quantifier.EXISTS)]) for s in range(1, kappa + 1)),
-        b_forall=(IntervalVector(b_cells[(s, Quantifier.FORALL)]) for s in range(1, kappa + 1)),
-        b_exists=(IntervalVector(b_cells[(s, Quantifier.EXISTS)]) for s in range(1, kappa + 1)),
-    )
+        i, j = param.row - 1, param.col - 1 if param.kind == "a" else n
+        grids[s - 1 + kappa * (quant is Quantifier.EXISTS)][i][j] = data[i][j]
+    mats = [IntervalMatrix(row[:n] for row in grid) for grid in grids]
+    vecs = [IntervalVector(row[n] for row in grid) for grid in grids]
+    return GeneralizedIQSystem(mats[:kappa], mats[kappa:], vecs[:kappa], vecs[kappa:])
 
 
 @dataclass(frozen=True)
@@ -399,28 +386,27 @@ def validate_disjoint(gen: GeneralizedIQSystem, A: IntervalMatrix, b: IntervalVe
     m, n = gen.shape
     if A.shape != (m, n) or len(b) != m:
         raise ValueError("shape mismatch between block tuples and target data")
-    for i in range(m):
-        for j in range(n):
-            slots = [mat.entry(i, j) for mat in (*gen.a_forall, *gen.a_exists)]
-            report = _check_slot(slots, A.entry(i, j), matrix_param(i + 1, j + 1))
-            if report is not None:
-                return report
-        slots = [vec[i] for vec in (*gen.b_forall, *gen.b_exists)]
-        report = _check_slot(slots, b[i], rhs_param(i + 1))
-        if report is not None:
-            return report
+    for (param, claims), target in zip(_slot_claims(gen), _row_major(A, b)):
+        if len(claims) > 1:
+            return DisjointnessReport(False, param, f"{len(claims)} blocks claim this slot")
+        # With at most one nonzero slot the sum is that slot, or zero.
+        total = claims[0][1] if claims else Interval.zero()
+        if total != target:
+            return DisjointnessReport(False, param, f"slot sum {total} != {target}")
     return DisjointnessReport(ok=True)
 
 
-def _check_slot(slots, target: Interval, param: ParamRef) -> Optional[DisjointnessReport]:
-    nonzero = [ivl for ivl in slots if not ivl.is_zero()]
-    if len(nonzero) > 1:
-        return DisjointnessReport(False, param, f"{len(nonzero)} blocks claim this slot")
-    # With at most one nonzero slot the sum is that slot, or the zero slot.
-    total = nonzero[0] if nonzero else slots[0]
-    if total != target:
-        return DisjointnessReport(False, param, f"slot sum {total} != {target}")
-    return None
+def _slot_claims(gen: GeneralizedIQSystem) -> Iterator[tuple]:
+    """Each parameter in ``_params`` order with its nonzero slots, as ((block, quantifier), interval).
+
+    The slots are listed forall tuples first, each group innermost block first.
+    """
+    tuples = [((s, q), _row_major(mat, vec))
+              for q, mats, vecs in ((Quantifier.FORALL, gen.a_forall, gen.b_forall),
+                                    (Quantifier.EXISTS, gen.a_exists, gen.b_exists))
+              for s, (mat, vec) in enumerate(zip(mats, vecs), start=1)]
+    for k, param in enumerate(_params(*gen.shape)):
+        yield param, [(key, slots[k]) for key, slots in tuples if not slots[k].is_zero()]
 
 
 def recompose_prefix(gen: GeneralizedIQSystem) -> QuantifierPrefix:
@@ -431,40 +417,16 @@ def recompose_prefix(gen: GeneralizedIQSystem) -> QuantifierPrefix:
     carry no information and are bound existentially in the innermost
     block by convention (their placement cannot change the solution
     set).  Within a block, universals come before existentials, each
-    group in row-major order.  Raises ValueError when the tuples are
-    not disjoint, naming the first slot that several tuples claim; that
-    is the only way ``validate_disjoint`` can fail against the tuples'
-    own sums, so no sum is formed here.
+    group in row-major order.  Raises ValueError when several tuples
+    claim one slot, with ``validate_disjoint``'s report against the
+    tuples' own sums: a double claim is the only way that check can
+    fail, so sums are formed only to report it.
     """
-    m, n = gen.shape
-    kappa = gen.kappa
-    groups = {(s, q): [] for s in range(1, kappa + 1) for q in Quantifier}
-    for i in range(m):
-        for j in range(n):
-            _assign_slot(
-                groups,
-                matrix_param(i + 1, j + 1),
-                [(s, mat.entry(i, j)) for s, mat in enumerate(gen.a_forall, start=1)],
-                [(s, mat.entry(i, j)) for s, mat in enumerate(gen.a_exists, start=1)],
-            )
-        _assign_slot(
-            groups,
-            rhs_param(i + 1),
-            [(s, vec[i]) for s, vec in enumerate(gen.b_forall, start=1)],
-            [(s, vec[i]) for s, vec in enumerate(gen.b_exists, start=1)],
-        )
-    bindings = []
-    for s in range(kappa, 0, -1):
-        for quant in (Quantifier.FORALL, Quantifier.EXISTS):
-            for param in sorted(groups[(s, quant)], key=lambda p: p.tuple_position(n)):
-                bindings.append((param, quant))
-    return QuantifierPrefix(m, n, bindings)
-
-
-def _assign_slot(groups, param: ParamRef, forall_slots, exists_slots) -> None:
-    claims = [(s, quant) for quant, slots in ((Quantifier.FORALL, forall_slots), (Quantifier.EXISTS, exists_slots))
-              for s, ivl in slots if not ivl.is_zero()]
-    if len(claims) > 1:
-        report = DisjointnessReport(False, param, f"{len(claims)} blocks claim this slot")
-        raise ValueError(f"cannot recompose a prefix: {report}")
-    groups[claims[0] if claims else (1, Quantifier.EXISTS)].append(param)
+    # Outermost block first, universals before existentials in each.
+    groups = {(s, q): [] for s in range(gen.kappa, 0, -1) for q in Quantifier}
+    for param, claims in _slot_claims(gen):
+        if len(claims) > 1:
+            report = validate_disjoint(gen, gen.summed_a(), gen.summed_b())
+            raise ValueError(f"cannot recompose a prefix: {report}")
+        groups[claims[0][0] if claims else (1, Quantifier.EXISTS)].append(param)
+    return QuantifierPrefix(*gen.shape, ((p, q) for (_, q), params in groups.items() for p in params))

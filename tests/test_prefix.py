@@ -258,6 +258,12 @@ class TestRecompose:
         assert prefix.quantifier_word() == "EE"
         # Solution data unaffected: tuples agree up to the zero slot.
         assert build_tuples(ClassicIQSystem(sys.A, sys.b, prefix)).summed_a() == sys.A
+        # With two blocks, a zero bound in the outer block moves innermost too.
+        sys = ClassicIQSystem(
+            imat([[(1, 2), (0, 0)]]), ivec([(1, 2)]),
+            parse_prefix_text(1, 2, "E a[1,2] E a[1,1] A b[1]"),
+        )
+        assert format_prefix(recompose_prefix(build_tuples(sys))) == "E a[1,1] A b[1] E a[1,2]"
 
     def test_all_exists_round_trip(self):
         sys = ClassicIQSystem(
